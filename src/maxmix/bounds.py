@@ -67,7 +67,9 @@ def mixture_lower(a: Assembly) -> Fraction:
     member distributions, not of M_1..M_n alone, so it is reported as a
     distribution-dependent bound.
     """
-    return a.mixture().similar_max_mean(a.n)
+    t = a.table
+    nums, den = t.mixture
+    return t.power_survival(nums, den, a.n)
 
 
 def mixture_dominance_check(a: Assembly) -> bool:
@@ -79,15 +81,10 @@ def mixture_dominance_check(a: Assembly) -> bool:
     runtime verifier rather than an assumption.
     """
     n = a.n
-    for x in a.merged_support:
-        vals = [d.cdf(x) for d in a.members]
-        prod = _ONE
-        for v in vals:
-            prod *= v
-        mean = sum(vals, _ZERO) / n
-        if prod > mean**n:
-            return False
-    return True
+    prod_nums, prod_den = a.table.product
+    mix_nums, mix_den = a.table.mixture
+    mix_den_n = mix_den**n
+    return all(p * mix_den_n <= m**n * prod_den for p, m in zip(prod_nums, mix_nums))
 
 
 def default_bound(a: Assembly) -> Fraction:
@@ -145,21 +142,21 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     """
     tol = as_tolerance(tol)
     n = a.n
-    grid = list(a.merged_support)
-    x_max = grid[-1]
-    if grid[0] != 0:
-        grid.insert(0, _ZERO)
+    t = a.table
+    xs = t.xs
+    prod_nums, prod_den = t.product
+    mix_nums, mix_den = t.mixture
+    if xs[0] != 0:  # every CDF is 0 on [0, first support point)
+        xs, prod_nums, mix_nums = (0, *xs), (0, *prod_nums), (0, *mix_nums)
+    x_max = Fraction(xs[-1], t.scale)
     root_tol = tol / (2 * max(x_max, _ONE))
 
     gap_lo = gap_hi = _ZERO
     ev_lo = ev_hi = _ZERO
-    for j in range(len(grid) - 1):
-        width = grid[j + 1] - grid[j]
-        vals = [d.cdf(grid[j]) for d in a.members]
-        abar = sum(vals, _ZERO) / n
-        prod = _ONE
-        for v in vals:
-            prod *= v
+    for j in range(len(xs) - 1):
+        width = Fraction(xs[j + 1] - xs[j], t.scale)
+        abar = Fraction(mix_nums[j], mix_den)
+        prod = Fraction(prod_nums[j], prod_den)
         root = nth_root(prod, n, root_tol)
         gap_lo += width * (abar - root.hi)
         gap_hi += width * (abar - root.lo)

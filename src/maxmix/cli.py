@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,12 +53,63 @@ class AssemblyDocument:
     bound: Fraction | None = None
 
 
+_LOG10_2 = math.log10(2)
+#: significant digits of the decimal column next to each exact value
+_SIG_DIGITS = 15
+
+
+def _int_str(k: int) -> str:
+    """Decimal digits of k of any length.
+
+    ``str`` refuses integers above the interpreter's digit limit (4300 by
+    default); longer ones are split at a power of ten into halves that each
+    convert on their own, so no process-wide setting is touched.
+    """
+    if k < 0:
+        return "-" + _int_str(-k)
+    limit = sys.get_int_max_str_digits()
+    if not limit or k.bit_length() <= 3 * limit:  # a digit holds over 3 bits
+        return str(k)
+    half = int(k.bit_length() * _LOG10_2) // 2
+    hi, lo = divmod(k, 10**half)
+    return _int_str(hi) + _int_str(lo).zfill(half)
+
+
 def fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def decimal_str(x) -> str:
-    return f"{float(x):.15g}"
+    """x to 15 significant digits, as ``'%.15g'`` prints it.
+
+    Values outside the range of normal floats are rounded exactly on the
+    rational instead, half to even, rather than overflowing or flushing to 0.
+    """
+    try:
+        f = float(x)
+    except OverflowError:
+        pass
+    else:
+        if abs(f) >= sys.float_info.min or x == 0:
+            return f"{f:.{_SIG_DIGITS}g}"
+    x = as_rational(x)
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    exp = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while Fraction(10) ** exp > x:
+        exp -= 1
+    while Fraction(10) ** (exp + 1) <= x:
+        exp += 1
+    digits = round(x / Fraction(10) ** (exp - _SIG_DIGITS + 1))
+    if digits == 10**_SIG_DIGITS:
+        digits //= 10
+        exp += 1
+    head, tail = divmod(digits, 10 ** (_SIG_DIGITS - 1))
+    tail = str(tail).zfill(_SIG_DIGITS - 1).rstrip("0")
+    mantissa = f"{head}.{tail}" if tail else str(head)
+    return f"{sign}{mantissa}e{'+' if exp >= 0 else '-'}{abs(exp):02d}"
 
 
 def _parse_rational(tok: str, line: int) -> Fraction:

@@ -1,7 +1,8 @@
 """Exact finite discrete distributions on the non-negative rationals.
 
 Every value, mass, CDF value and survival integral in this module is an
-exact `fractions.Fraction`.  That discipline is what lets the rest of the
+exact `fractions.Fraction`, or an integer over an explicit integer
+denominator inside `CdfTable`.  That discipline is what lets the rest of the
 package check its inequality chains with zero tolerance rather than
 floating-point slack; floats are refused at the door.
 
@@ -14,17 +15,23 @@ Core types:
 * `Assembly`: an ordered family of n independent members.  The member count
   n is also the copy count used in every similar-assembly mean for that
   family.
-* `SurvivalStep`: a piecewise-constant right-continuous CDF, the canonical
-  carrier for products and powers of step CDFs.  It reduces every
-  expectation of a maximum to a finite sum over the merged support.
+* `CdfTable`: the members' CDFs as integers over their merged support.
+  Every exact quantity of the bound chain (similar means, the expected
+  maximum, the mixture bound) is a survival integral of a step CDF on that
+  grid, computed as one integer sum with a single division at the end.
+* `SurvivalStep`: a piecewise-constant right-continuous CDF, the carrier
+  for the distribution of a maximum as a product of step CDFs.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Literal
 
 from .errors import PreconditionError, ResourceCapExceeded
@@ -164,14 +171,19 @@ class FiniteDistribution:
         """The mean, exactly."""
         return sum((v * m for v, m in self.atoms), _ZERO)
 
+    @cached_property
+    def _table(self) -> "CdfTable":
+        return CdfTable.of((self,))
+
     def similar_max_mean(self, n: int) -> Fraction:
         """Expected maximum of n independent copies, exactly.
 
-        Computed as the survival integral of F**n over the finite support;
-        equals ``Assembly.of_copies(self, n).expected_max()``.
+        Computed as the survival integral of F**n over the distribution's own
+        atoms; equals ``Assembly.of_copies(self, n).expected_max()``.
         """
         n = _check_copy_count(n)
-        return self.to_step().power(n).survival_integral()
+        t = self._table
+        return t.power_survival(t.cols[0], t.dens[0], n)
 
     def to_step(self) -> "SurvivalStep":
         return SurvivalStep(self.values, self._cum)
@@ -214,10 +226,6 @@ class SurvivalStep:
         i = bisect.bisect_right(self.breakpoints, x)
         return self.plateaus[i - 1] if i else _ZERO
 
-    def power(self, n: int) -> "SurvivalStep":
-        n = _check_copy_count(n)
-        return SurvivalStep(self.breakpoints, tuple(p**n for p in self.plateaus))
-
     @classmethod
     def product_of(cls, steps: Iterable["SurvivalStep"],
                    atom_cap: int = DEFAULT_ATOM_CAP) -> "SurvivalStep":
@@ -240,17 +248,6 @@ class SurvivalStep:
             plateaus.append(p)
         return cls(tuple(merged), tuple(plateaus))
 
-    def survival_integral(self) -> Fraction:
-        """The exact integral of (1 - F) over [0, inf).
-
-        The integrand is piecewise constant and vanishes beyond the last
-        breakpoint, so this is a finite sum.
-        """
-        total = self.breakpoints[0]  # F = 0 on [0, first breakpoint)
-        for i in range(len(self.breakpoints) - 1):
-            total += (self.breakpoints[i + 1] - self.breakpoints[i]) * (1 - self.plateaus[i])
-        return total
-
     def to_distribution(self) -> FiniteDistribution:
         """Atoms at the jumps of the CDF."""
         pairs = []
@@ -259,6 +256,72 @@ class SurvivalStep:
             pairs.append((b, p - prev))
             prev = p
         return FiniteDistribution.from_pairs(pairs)
+
+
+@dataclass(frozen=True)
+class CdfTable:
+    """Member CDFs as integers over their merged support.
+
+    ``xs`` is the merged support in increasing order, each point an integer
+    over the common value ``scale``.  ``cols[i][k]`` is member i's CDF at
+    ``xs[k]`` as an integer numerator over ``dens[i]``, the lcm of that
+    member's mass denominators.  Between merged points every CDF built from
+    the columns is constant, so each survival integral is one integer sum
+    over the grid with one division at the end.  Rows are formed with
+    ``+``, ``-`` and ``*`` on the entries only.
+    """
+
+    scale: int
+    xs: tuple[int, ...]
+    dens: tuple[int, ...]
+    cols: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
+        members = tuple(members)
+        scale = math.lcm(*(v.denominator for d in members for v in d.values))
+        xs = sorted({v.numerator * (scale // v.denominator)
+                     for d in members for v in d.values})
+        index = {x: k for k, x in enumerate(xs)}
+        dens, cols = [], []
+        for d in members:
+            den = math.lcm(*(m.denominator for m in d.masses))
+            jumps = [0] * len(xs)
+            for v, m in d.atoms:
+                jumps[index[v.numerator * (scale // v.denominator)]] = (
+                    m.numerator * (den // m.denominator))
+            dens.append(den)
+            cols.append(tuple(accumulate(jumps)))
+        return cls(scale, tuple(xs), tuple(dens), tuple(cols))
+
+    @cached_property
+    def _widths(self) -> tuple[int, ...]:
+        return tuple(b - a for a, b in zip(self.xs, self.xs[1:]))
+
+    @cached_property
+    def product(self) -> tuple[tuple[int, ...], int]:
+        """The CDF of the members' maximum: numerators over the product of dens."""
+        return tuple(math.prod(row) for row in zip(*self.cols)), math.prod(self.dens)
+
+    @cached_property
+    def mixture(self) -> tuple[tuple[int, ...], int]:
+        """The equally-weighted mixture CDF: numerators over n * lcm(dens)."""
+        common = math.lcm(*self.dens)
+        weights = [common // den for den in self.dens]
+        return (tuple(sum(map(mul, row, weights)) for row in zip(*self.cols)),
+                len(self.dens) * common)
+
+    def survival(self, nums, den: int) -> Fraction:
+        """The integral of 1 - nums[k]/den over [xs[k], xs[k+1]) and of 1 below xs[0].
+
+        ``nums[-1]`` must equal ``den``: the CDF reaches 1 at the last point.
+        """
+        total = self.xs[-1] * den - sum(map(mul, self._widths, nums))
+        return Fraction(total, den * self.scale)
+
+    def power_survival(self, nums, den: int, n: int) -> Fraction:
+        """The survival integral of the CDF nums/den raised to the n-th power."""
+        return self.survival([x**n for x in nums], den**n)
 
 
 @dataclass(frozen=True)
@@ -289,8 +352,13 @@ class Assembly:
         return len(self.members)
 
     @cached_property
+    def table(self) -> CdfTable:
+        return CdfTable.of(self.members)
+
+    @cached_property
     def merged_support(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({v for d in self.members for v in d.values}))
+        t = self.table
+        return tuple(Fraction(x, t.scale) for x in t.xs)
 
     @property
     def support_max(self) -> Fraction:
@@ -306,7 +374,8 @@ class Assembly:
         integrand is piecewise constant between merged atoms and zero past
         the largest one.
         """
-        return self.product_step().survival_integral()
+        t = self.table
+        return t.survival(*t.product)
 
     def max_distribution(self) -> FiniteDistribution:
         """The distribution of the maximum of the members."""

@@ -12,6 +12,9 @@ run with seed s is the (c+1)-th output of SplitMix64 started at s, mapped to
 any worker split by sample ranges reproduces the identical stream.  Member
 values are drawn by inverse CDF with exact integer thresholds, so a draw
 lands on atom j with probability exactly ceil-rounded to 2**-53.
+
+numpy is imported by the sampling functions, not by this module, so that
+the commands that never sample do not pay its start-up time and memory.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dist import Assembly
 from .errors import PreconditionError, ResourceCapExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_OUTCOME_CAP = 10**7
 
@@ -78,6 +83,8 @@ def enumerate_expected_max(a: Assembly, outcome_cap: int = DEFAULT_OUTCOME_CAP
 
 def _splitmix_draws(seed: int, counters: np.ndarray) -> np.ndarray:
     """The (c+1)-th SplitMix64 outputs for each counter c, as uint64."""
+    import numpy as np
+
     z = (np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -90,6 +97,8 @@ def _thresholds(d) -> np.ndarray:
     T[j] = ceil(cum_j * 2**53) - 1, computed exactly from the rational
     cumulative masses.
     """
+    import numpy as np
+
     out = []
     cum = Fraction(0)
     for _, m in d.atoms:
@@ -107,12 +116,21 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
     chunking, fixed accumulation order.  stderr is the sample standard
     deviation over sqrt(samples).
     """
+    import numpy as np
+
     if not isinstance(samples, int) or samples < 2:
         raise PreconditionError(f"need an integer samples >= 2, got {samples!r}")
-    seed = int(seed) & _MASK
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise PreconditionError(f"seed must lie in [0, 2**64), got {seed}")
     n = a.n
     thresholds = [_thresholds(d) for d in a.members]
-    values = [np.array([float(v) for v in d.values]) for d in a.members]
+    try:
+        values = [np.array([float(v) for v in d.values]) for d in a.members]
+    except OverflowError:
+        raise PreconditionError(
+            "Monte Carlo needs every support value within float range"
+        ) from None
 
     total = 0.0
     total_sq = 0.0

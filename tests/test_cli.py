@@ -1,6 +1,7 @@
 """Tests for the command line surface and the assembly file format."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,8 @@ from maxmix.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     AssemblyDocument,
+    decimal_str,
+    fraction_str,
     main,
     parse_assembly_text,
     render_assembly,
@@ -105,6 +108,80 @@ class TestVerify:
         path = tmp_path / "a.txt"
         path.write_text("n: 1\nmember: 0:1/2 3:1/2\n")
         assert main(["verify", str(path), "--bound", "2"]) == EXIT_PRECONDITION
+
+
+def _primes_above(start: int, count: int) -> list[int]:
+    found = []
+    x = start
+    while len(found) < count:
+        x += 1
+        if all(x % q for q in range(2, int(x**0.5) + 1)):
+            found.append(x)
+    return found
+
+
+class TestLongAndHugeValues:
+    def test_exact_values_beyond_the_digit_limit(self, tmp_path, capsys):
+        # 30 coprime mass denominators of 7 digits: the mixture bound's
+        # denominator is about (30 * prod p)**30, some 5000 digits
+        path = tmp_path / "long.txt"
+        path.write_text("".join(f"member: 0:1/{p} 1:{p - 1}/{p}\n"
+                                for p in _primes_above(10**6, 30)))
+        limit = sys.get_int_max_str_digits()
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("mixture_E = "))
+        token = line.split()[2]
+        assert len(token) > 4300
+        num, den = token.split("/")
+        try:
+            sys.set_int_max_str_digits(0)
+            assert F(int(num), int(den)) == F(token)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_fraction_str_splits_long_integers(self):
+        k = 7**9000 + 10**5000
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = str(k)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert fraction_str(F(k)) == want
+        assert fraction_str(F(-k, 3)) == f"-{want}/3"
+        assert fraction_str(F(10**9000)) == "1" + "0" * 9000
+
+    def test_decimal_str_keeps_the_float_path_in_range(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            x = F(rng.randint(-10**20, 10**20), rng.randint(1, 10**20))
+            x *= F(10) ** rng.randint(-300, 290)
+            assert decimal_str(x) == f"{float(x):.15g}"
+        assert decimal_str(F(0)) == "0"
+
+    def test_decimal_str_rounds_outside_float_range(self):
+        assert decimal_str(F(10) ** 400) == "1e+400"
+        assert decimal_str(-F(2) ** 1100) == "-1.35829852904939e+331"
+        assert decimal_str(F(1, 3 * 10**400)) == "3.33333333333333e-401"
+        # exact ties round half to even
+        assert decimal_str(F(1234567890123425, 10**14) * F(10) ** 400) == "1.23456789012342e+401"
+        assert decimal_str(F(999999999999999500, 10**17) * F(10) ** 400) == "1e+401"
+
+    def test_verify_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("member: 0:1/2 1e400:1/2\nmember: 0:1/3 1:2/3\n")
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert "exact_E = " in capsys.readouterr().out
+        assert main(["verify", str(path), "--samples", "100"]) == EXIT_PRECONDITION
+        assert "float range" in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_is_a_precondition_error(self, example_file, capsys):
+        for seed in ("-1", str(2**64)):
+            assert main(["verify", str(example_file), "--samples", "100",
+                         "--seed", seed]) == EXIT_PRECONDITION
+            assert "seed" in capsys.readouterr().err
 
 
 class TestExtremal:

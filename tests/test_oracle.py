@@ -113,3 +113,11 @@ class TestMonteCarlo:
         d = dist((0, F(1, 2)), (1, F(1, 2)))
         with pytest.raises(PreconditionError):
             mc_expected_max(Assembly((d, d)), 1, seed=0)
+
+    def test_seed_must_fit_in_64_bits(self):
+        d = dist((0, F(1, 2)), (1, F(1, 2)))
+        a = Assembly((d, d))
+        for seed in (-1, 1 << 64):
+            with pytest.raises(PreconditionError):
+                mc_expected_max(a, 100, seed=seed)
+        assert mc_expected_max(a, 100, seed=(1 << 64) - 1).seed == (1 << 64) - 1
