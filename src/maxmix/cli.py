@@ -9,7 +9,9 @@ Assembly files are UTF-8 text, one key per line, '#' starting a comment:
     member: 0:1/4 1:3/4
 
 Values and masses are exact rationals written as "3/7", "5" or "0.125"
-(decimal strings convert exactly).  Rendering is canonical, so
+(decimal strings convert exactly).  Integers and "a/b" tokens may have any
+number of digits; other forms are limited to the interpreter's integer
+string limit (4300 digits by default).  Rendering is canonical, so
 parse(render(doc)) == doc for every valid document.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 precondition
@@ -27,7 +29,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, extremal, oracle, transforms
-from .dist import Assembly, FiniteDistribution, as_rational
+from .dist import (
+    Assembly,
+    FiniteDistribution,
+    as_rational,
+    clip,
+    fraction_str,
+)
 from .enclosure import DEFAULT_TOL, Enclosure
 from .errors import (
     AssemblyParseError,
@@ -53,32 +61,8 @@ class AssemblyDocument:
     bound: Fraction | None = None
 
 
-_LOG10_2 = math.log10(2)
 #: significant digits of the decimal column next to each exact value
 _SIG_DIGITS = 15
-
-
-def _int_str(k: int) -> str:
-    """Decimal digits of k of any length.
-
-    ``str`` refuses integers above the interpreter's digit limit (4300 by
-    default); longer ones are split at a power of ten into halves that each
-    convert on their own, so no process-wide setting is touched.
-    """
-    if k < 0:
-        return "-" + _int_str(-k)
-    limit = sys.get_int_max_str_digits()
-    if not limit or k.bit_length() <= 3 * limit:  # a digit holds over 3 bits
-        return str(k)
-    half = int(k.bit_length() * _LOG10_2) // 2
-    hi, lo = divmod(k, 10**half)
-    return _int_str(hi) + _int_str(lo).zfill(half)
-
-
-def fraction_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return _int_str(x.numerator)
-    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def decimal_str(x) -> str:
@@ -112,11 +96,32 @@ def decimal_str(x) -> str:
     return f"{sign}{mantissa}e{'+' if exp >= 0 else '-'}{abs(exp):02d}"
 
 
-def _parse_rational(tok: str, line: int) -> Fraction:
+def _digits_int(s: str) -> int:
+    """The integer of an ASCII digit string of any length (see `dist._int_str`)."""
     try:
-        return as_rational(tok)
+        return int(s)
+    except ValueError:  # beyond the interpreter's digit limit: convert in halves
+        half = len(s) // 2
+        return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
+
+
+def _parse_ratio(tok: str, line: int) -> tuple[int, int]:
+    """A token as ``(numerator, denominator)``, denominator positive.
+
+    "a" and "a/b" with ASCII digits convert straight to integers; every other
+    form goes through `Fraction`, so exactly the tokens it accepts are valid.
+    """
+    num, sep, den = tok.partition("/")
+    if num.isdigit() and num.isascii() and (not sep or den.isdigit() and den.isascii()):
+        d = _digits_int(den) if sep else 1
+        if d:
+            return _digits_int(num), d
+    try:
+        x = as_rational(tok)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise AssemblyParseError(f"bad rational {tok!r}: {exc}", line) from None
+        detail = str(exc).replace(tok, clip(tok))
+        raise AssemblyParseError(f"bad rational {clip(tok)!r}: {detail}", line) from None
+    return x.numerator, x.denominator
 
 
 def parse_assembly_text(text: str) -> AssemblyDocument:
@@ -131,38 +136,37 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
             continue
         key, sep, rest = line.partition(":")
         if not sep:
-            raise AssemblyParseError(f"expected 'key: value', got {raw!r}", lineno)
+            raise AssemblyParseError(f"expected 'key: value', got {clip(raw)!r}", lineno)
         key = key.strip()
         rest = rest.strip()
         if key == "name":
             name = rest
         elif key == "bound":
-            bound = _parse_rational(rest, lineno)
+            bound = Fraction(*_parse_ratio(rest, lineno))
         elif key == "n":
             try:
                 declared_n = int(rest)
             except ValueError:
-                raise AssemblyParseError(f"bad member count {rest!r}", lineno) from None
+                raise AssemblyParseError(f"bad member count {clip(rest)!r}", lineno) from None
         elif key == "member":
             pairs = []
             for tok in rest.split():
                 parts = tok.split(":")
                 if len(parts) != 2:
                     raise AssemblyParseError(
-                        f"member {len(members) + 1}: expected value:mass, got {tok!r}",
+                        f"member {len(members) + 1}: expected value:mass, "
+                        f"got {clip(tok)!r}",
                         lineno,
                     )
-                pairs.append(
-                    (_parse_rational(parts[0], lineno), _parse_rational(parts[1], lineno))
-                )
+                pairs.append((_parse_ratio(parts[0], lineno), _parse_ratio(parts[1], lineno)))
             try:
-                members.append(FiniteDistribution.from_pairs(pairs))
+                members.append(FiniteDistribution.from_ratios(pairs))
             except PreconditionError as exc:
                 raise AssemblyParseError(
                     f"member {len(members) + 1}: {exc}", lineno
                 ) from None
         else:
-            raise AssemblyParseError(f"unknown key {key!r}", lineno)
+            raise AssemblyParseError(f"unknown key {clip(key)!r}", lineno)
 
     if not members:
         raise AssemblyParseError("no members found")

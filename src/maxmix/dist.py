@@ -11,7 +11,9 @@ Core types:
 * `FiniteDistribution`: an immutable tuple of ``(value, mass)`` atoms in
   canonical form (strictly increasing non-negative values, positive masses,
   total mass exactly 1).  Canonical form makes equality of distributions
-  decidable, which the equality diagnostics rely on.
+  decidable, which the equality diagnostics rely on.  Each distribution also
+  keeps its `IntegerForm`, the same atoms as integers over one value scale
+  and one mass denominator, which is where they are validated.
 * `Assembly`: an ordered family of n independent members.  The member count
   n is also the copy count used in every similar-assembly mean for that
   family.
@@ -27,12 +29,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal, NamedTuple
 
 from .errors import PreconditionError, ResourceCapExceeded
 
@@ -65,10 +68,116 @@ def as_rational(x) -> Fraction:
     return Fraction(x)
 
 
+_LOG10_2 = math.log10(2)
+
+
+def _int_str(k: int) -> str:
+    """Decimal digits of k of any length.
+
+    ``str`` refuses integers above the interpreter's digit limit (4300 by
+    default); longer ones are split at a power of ten into halves that each
+    convert on their own, so no process-wide setting is touched.
+    """
+    if k < 0:
+        return "-" + _int_str(-k)
+    limit = sys.get_int_max_str_digits()
+    if not limit or k.bit_length() <= 3 * limit:  # a digit holds over 3 bits
+        return str(k)
+    half = int(k.bit_length() * _LOG10_2) // 2
+    hi, lo = divmod(k, 10**half)
+    return _int_str(hi) + _int_str(lo).zfill(half)
+
+
+def fraction_str(x: Fraction) -> str:
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+#: longest text echoed whole in an error message
+_ECHO_CAP = 40
+
+
+def clip(text: str) -> str:
+    """Text for an error message, cut to its first characters when long."""
+    return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}...({len(text)} chars)"
+
+
+def _shown(x: Fraction) -> str:
+    return clip(fraction_str(x))
+
+
 def _check_copy_count(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionError(f"copy count must be an integer >= 1, got {n!r}")
     return n
+
+
+class IntegerForm(NamedTuple):
+    """Canonical atoms as integers: ``values[k] / scale`` carries ``masses[k] / den``.
+
+    ``scale`` is the lcm of the value denominators and ``den`` the lcm of the
+    mass denominators, so the form of a distribution is unique.  The values
+    rise strictly, every mass is positive and the masses sum to ``den``.
+    """
+
+    scale: int
+    values: tuple[int, ...]
+    den: int
+    masses: tuple[int, ...]
+
+    @classmethod
+    def of(cls, pairs: Iterable) -> "IntegerForm":
+        """Canonicalise ``((value num, value den), (mass num, mass den))`` pairs.
+
+        Denominators must be positive; the fractions need not be in lowest
+        terms.  Equal values are merged and zero masses dropped; a negative
+        mass (checked in input order), a negative value or a total other
+        than 1 is refused.
+        """
+        kept = []
+        for (vn, vd), (mn, md) in pairs:
+            if mn < 0:
+                m, v = _shown(Fraction(mn, md)), _shown(Fraction(vn, vd))
+                raise PreconditionError(f"atom mass {m} at value {v} is negative")
+            if mn:
+                kept.append((vn, vd, mn, md))
+        if not kept:
+            raise PreconditionError("a distribution needs at least one atom")
+        scale = math.lcm(*{vd for _, vd, _, _ in kept})
+        den = math.lcm(*{md for _, _, _, md in kept})
+        merged: dict[int, int] = {}
+        for vn, vd, mn, md in kept:
+            x = vn * (scale // vd)
+            merged[x] = merged.get(x, 0) + mn * (den // md)
+        values = sorted(merged)
+        if values[0] < 0:
+            raise PreconditionError(
+                f"atom value {_shown(Fraction(values[0], scale))} is negative")
+        masses = [merged[x] for x in values]
+        total = sum(masses)
+        if total != den:
+            raise PreconditionError(
+                f"masses sum to {_shown(Fraction(total, den))}, expected exactly 1")
+        # the lcm of the reduced denominators is the common one over the gcd
+        g = math.gcd(scale, *values)
+        if g > 1:
+            scale //= g
+            values = [x // g for x in values]
+        g = math.gcd(den, *masses)
+        if g > 1:
+            den //= g
+            masses = [m // g for m in masses]
+        return cls(scale, tuple(values), den, tuple(masses))
+
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(map(Fraction, self.values, repeat(self.scale)),
+                         map(Fraction, self.masses, repeat(self.den))))
+
+
+def _ratios(atoms):
+    return (((v.numerator, v.denominator), (m.numerator, m.denominator))
+            for v, m in atoms)
 
 
 @dataclass(frozen=True)
@@ -78,7 +187,7 @@ class FiniteDistribution:
     ``atoms`` is the canonical representation: strictly increasing values,
     every mass positive, masses summing to exactly 1.  Mass at value 0 is
     legal and common.  Use `from_pairs` to build from unsorted or
-    unmerged data.
+    unmerged data.  ``form`` holds the same atoms as an `IntegerForm`.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
@@ -86,24 +195,23 @@ class FiniteDistribution:
     def __post_init__(self):
         atoms = tuple((as_rational(v), as_rational(m)) for v, m in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise PreconditionError("a distribution needs at least one atom")
-        prev = None
-        total = _ZERO
         for v, m in atoms:
-            if v < 0:
-                raise PreconditionError(f"atom value {v} is negative")
             if m <= 0:
-                raise PreconditionError(f"atom mass {m} at value {v} is not positive")
-            if prev is not None and v <= prev:
                 raise PreconditionError(
-                    "atom values must be strictly increasing in canonical form; "
-                    "use FiniteDistribution.from_pairs to merge and sort"
-                )
-            prev = v
-            total += m
-        if total != 1:
-            raise PreconditionError(f"masses sum to {total}, expected exactly 1")
+                    f"atom mass {_shown(m)} at value {_shown(v)} is not positive")
+        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+            raise PreconditionError(
+                "atom values must be strictly increasing in canonical form; "
+                "use FiniteDistribution.from_pairs to merge and sort"
+            )
+        object.__setattr__(self, "form", IntegerForm.of(_ratios(atoms)))
+
+    @classmethod
+    def _of_form(cls, form: IntegerForm) -> "FiniteDistribution":
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", form.atoms())
+        object.__setattr__(self, "form", form)
+        return self
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "FiniteDistribution":
@@ -113,16 +221,17 @@ class FiniteDistribution:
         distribution has exactly one representation; negative masses are an
         error.  The total mass must still be exactly 1.
         """
-        acc: dict[Fraction, Fraction] = {}
-        for v, m in pairs:
-            v = as_rational(v)
-            m = as_rational(m)
-            if m < 0:
-                raise PreconditionError(f"atom mass {m} at value {v} is negative")
-            if m == 0:
-                continue
-            acc[v] = acc.get(v, _ZERO) + m
-        return cls(tuple(sorted(acc.items())))
+        return cls._of_form(IntegerForm.of(
+            _ratios((as_rational(v), as_rational(m)) for v, m in pairs)))
+
+    @classmethod
+    def from_ratios(cls, pairs: Iterable) -> "FiniteDistribution":
+        """`from_pairs` on ``((value num, value den), (mass num, mass den))`` integers.
+
+        Denominators must be positive.  This is how the file parser builds
+        members without making a `Fraction` per token.
+        """
+        return cls._of_form(IntegerForm.of(pairs))
 
     @classmethod
     def point_mass(cls, value) -> "FiniteDistribution":
@@ -138,12 +247,8 @@ class FiniteDistribution:
 
     @cached_property
     def _cum(self) -> tuple[Fraction, ...]:
-        out = []
-        total = _ZERO
-        for _, m in self.atoms:
-            total += m
-            out.append(total)
-        return tuple(out)
+        den = self.form.den
+        return tuple(Fraction(c, den) for c in accumulate(self.form.masses))
 
     @property
     def support_max(self) -> Fraction:
@@ -169,7 +274,8 @@ class FiniteDistribution:
 
     def expected_value(self) -> Fraction:
         """The mean, exactly."""
-        return sum((v * m for v, m in self.atoms), _ZERO)
+        f = self.form
+        return Fraction(sum(map(mul, f.values, f.masses)), f.scale * f.den)
 
     @cached_property
     def _table(self) -> "CdfTable":
@@ -189,7 +295,7 @@ class FiniteDistribution:
         return SurvivalStep(self.values, self._cum)
 
     def __repr__(self):
-        inner = ", ".join(f"{v}:{m}" for v, m in self.atoms)
+        inner = ", ".join(f"{fraction_str(v)}:{fraction_str(m)}" for v, m in self.atoms)
         return f"FiniteDistribution({{{inner}}})"
 
 
@@ -278,21 +384,22 @@ class CdfTable:
 
     @classmethod
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
-        members = tuple(members)
-        scale = math.lcm(*(v.denominator for d in members for v in d.values))
-        xs = sorted({v.numerator * (scale // v.denominator)
-                     for d in members for v in d.values})
+        forms = [d.form for d in members]
+        if len(forms) == 1:
+            f, = forms
+            return cls(f.scale, f.values, (f.den,), (tuple(accumulate(f.masses)),))
+        scale = math.lcm(*(f.scale for f in forms))
+        columns = [f.values if f.scale == scale
+                   else [x * (scale // f.scale) for x in f.values] for f in forms]
+        xs = sorted(set().union(*columns))
         index = {x: k for k, x in enumerate(xs)}
-        dens, cols = [], []
-        for d in members:
-            den = math.lcm(*(m.denominator for m in d.masses))
+        cols = []
+        for f, column in zip(forms, columns):
             jumps = [0] * len(xs)
-            for v, m in d.atoms:
-                jumps[index[v.numerator * (scale // v.denominator)]] = (
-                    m.numerator * (den // m.denominator))
-            dens.append(den)
+            for x, m in zip(column, f.masses):
+                jumps[index[x]] = m
             cols.append(tuple(accumulate(jumps)))
-        return cls(scale, tuple(xs), tuple(dens), tuple(cols))
+        return cls(scale, tuple(xs), tuple(f.den for f in forms), tuple(cols))
 
     @cached_property
     def _widths(self) -> tuple[int, ...]:
@@ -321,7 +428,7 @@ class CdfTable:
 
     def power_survival(self, nums, den: int, n: int) -> Fraction:
         """The survival integral of the CDF nums/den raised to the n-th power."""
-        return self.survival([x**n for x in nums], den**n)
+        return self.survival((x**n for x in nums), den**n)
 
 
 @dataclass(frozen=True)

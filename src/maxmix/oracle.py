@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -131,6 +132,13 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
         raise PreconditionError(
             "Monte Carlo needs every support value within float range"
         ) from None
+    # the sum of squares is at most samples * max**2; past float range the
+    # variance, and with it stderr, would come out as inf or nan
+    if samples * a.support_max**2 > sys.float_info.max:
+        raise PreconditionError(
+            f"Monte Carlo needs samples * (largest value)**2 within float range; "
+            f"{samples} samples of values up to {float(a.support_max):.3g} exceed it"
+        )
 
     total = 0.0
     total_sq = 0.0

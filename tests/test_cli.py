@@ -177,6 +177,36 @@ class TestLongAndHugeValues:
         assert main(["verify", str(path), "--samples", "100"]) == EXIT_PRECONDITION
         assert "float range" in capsys.readouterr().err
 
+    def test_mc_refuses_squares_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("member: 0:1/2 1e200:1/2\nmember: 0:1/3 1:2/3\n")
+        assert main(["verify", str(path), "--samples", "1000"]) == EXIT_PRECONDITION
+        assert "float range" in capsys.readouterr().err
+        path.write_text("member: 0:1/2 1e150:1/2\nmember: 0:1/3 1:2/3\n")
+        assert main(["verify", str(path), "--samples", "1000"]) == EXIT_OK
+        out = capsys.readouterr().out
+        stderr = float(out.split("stderr = ")[1].split(",")[0])
+        assert 0 < stderr < float("inf")
+        assert "(<= 4*stderr)" in out
+
+    def test_tokens_beyond_the_digit_limit(self, tmp_path, capsys):
+        value = "7" * 5000
+        path = tmp_path / "long.txt"
+        path.write_text(f"member: 0:1/2 {value}:1/2\nmember: 0:1/3 1:2/3\n")
+        assert main(["verify", str(path)]) == EXIT_OK
+        doc = parse_assembly_text(path.read_text())
+        assert doc.assembly.support_max == 7 * (10**5000 - 1) // 9
+        assert parse_assembly_text(render_assembly(doc)) == doc
+        assert f"{value}:1/2" in render_assembly(doc)
+
+    def test_long_bad_token_is_clipped_in_the_message(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text(f"member: 0:1/2 {'7' * 5000}.5:1/2\n")
+        assert main(["verify", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad rational '7777777777" in err and "(5002 chars)" in err
+        assert len(err) < 300
+
     def test_seed_outside_64_bits_is_a_precondition_error(self, example_file, capsys):
         for seed in ("-1", str(2**64)):
             assert main(["verify", str(example_file), "--samples", "100",

@@ -95,3 +95,25 @@ def test_rows_match_pointwise_cdfs():
             cdfs = [d.cdf(x) for d in a.members]
             assert F(prod_nums[k], prod_den) == math.prod(cdfs)
             assert F(mix_nums[k], mix_den) == sum(cdfs) / a.n
+
+
+@seed(805_0448)
+@settings(max_examples=150, deadline=None)
+@given(assemblies())
+def test_integer_forms_match_the_atoms(a):
+    # the table reads each member's integer form; it must say what the
+    # Fraction atoms say, over the least common denominators
+    for d in a.members:
+        f = d.form
+        assert f.scale == math.lcm(*(v.denominator for v in d.values))
+        assert f.den == math.lcm(*(m.denominator for m in d.masses))
+        assert d.atoms == tuple((F(x, f.scale), F(m, f.den))
+                                for x, m in zip(f.values, f.masses))
+        assert FiniteDistribution(d.atoms).form == f
+        unreduced = [((3 * x, 3 * f.scale), (2 * m, 2 * f.den))
+                     for x, m in zip(f.values, f.masses)]
+        assert FiniteDistribution.from_ratios(reversed(unreduced)).form == f
+    t = a.table
+    assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
+    for d, col, den in zip(a.members, t.cols, t.dens):
+        assert tuple(F(c, den) for c in col) == tuple(d.cdf(x) for x in a.merged_support)
