@@ -8,19 +8,22 @@ floating-point slack; floats are refused at the door.
 
 Core types:
 
-* `FiniteDistribution`: an immutable tuple of ``(value, mass)`` atoms in
-  canonical form (strictly increasing non-negative values, positive masses,
-  total mass exactly 1).  Canonical form makes equality of distributions
-  decidable, which the equality diagnostics rely on.  Each distribution also
-  keeps its `IntegerForm`, the same atoms as integers over one value scale
-  and one mass denominator, which is where they are validated.
+* `FiniteDistribution`: an immutable distribution stored as its
+  `IntegerForm`, the atoms as integers over one value scale and one mass
+  denominator, which is where they are validated.  The form is canonical
+  (strictly increasing non-negative values, positive masses, total mass
+  exactly 1), which makes equality of distributions decidable, as the
+  equality diagnostics need.  The ``(value, mass)`` atoms as `Fraction`
+  pairs are built only when first read.
 * `Assembly`: an ordered family of n independent members.  The member count
   n is also the copy count used in every similar-assembly mean for that
   family.
-* `CdfTable`: the members' CDFs as integers over their merged support.
-  Every exact quantity of the bound chain (similar means, the expected
-  maximum, the mixture bound) is a survival integral of a step CDF on that
-  grid, computed as one integer sum with a single division at the end.
+* `CdfTable`: two integer rows over the members' merged support, the CDF
+  of their maximum and the CDF of their mixture, built in one sweep over the
+  members' jumps.  Every exact quantity of the bound chain (similar means,
+  the expected maximum, the mixture bound) is a survival integral of a step
+  CDF on that grid, computed as one integer sum with a single division at
+  the end.
 * `SurvivalStep`: a piecewise-constant right-continuous CDF, the carrier
   for the distribution of a maximum as a product of step CDFs.
 """
@@ -170,31 +173,28 @@ class IntegerForm(NamedTuple):
             masses = [m // g for m in masses]
         return cls(scale, tuple(values), den, tuple(masses))
 
-    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(map(Fraction, self.values, repeat(self.scale)),
-                         map(Fraction, self.masses, repeat(self.den))))
-
 
 def _ratios(atoms):
     return (((v.numerator, v.denominator), (m.numerator, m.denominator))
             for v, m in atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteDistribution:
     """A finite discrete distribution on the non-negative rationals.
 
-    ``atoms`` is the canonical representation: strictly increasing values,
-    every mass positive, masses summing to exactly 1.  Mass at value 0 is
-    legal and common.  Use `from_pairs` to build from unsorted or
-    unmerged data.  ``form`` holds the same atoms as an `IntegerForm`.
+    ``form`` is the one stored representation, an `IntegerForm`; it is
+    unique per distribution, so equality and hashing go by it.  ``atoms``
+    is the canonical view built from it on first access: strictly
+    increasing values, every mass positive, masses summing to exactly 1.
+    Mass at value 0 is legal and common.  Use `from_pairs` to build from
+    unsorted or unmerged data.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    form: IntegerForm
 
-    def __post_init__(self):
-        atoms = tuple((as_rational(v), as_rational(m)) for v, m in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, atoms: Iterable):
+        atoms = tuple((as_rational(v), as_rational(m)) for v, m in atoms)
         for v, m in atoms:
             if m <= 0:
                 raise PreconditionError(
@@ -205,11 +205,11 @@ class FiniteDistribution:
                 "use FiniteDistribution.from_pairs to merge and sort"
             )
         object.__setattr__(self, "form", IntegerForm.of(_ratios(atoms)))
+        object.__setattr__(self, "atoms", atoms)  # fills the cached view
 
     @classmethod
     def _of_form(cls, form: IntegerForm) -> "FiniteDistribution":
         self = object.__new__(cls)
-        object.__setattr__(self, "atoms", form.atoms())
         object.__setattr__(self, "form", form)
         return self
 
@@ -238,12 +238,18 @@ class FiniteDistribution:
         return cls(((as_rational(value), _ONE),))
 
     @cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.values, self.masses))
+
+    @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for v, _ in self.atoms)
+        f = self.form
+        return tuple(map(Fraction, f.values, repeat(f.scale)))
 
     @cached_property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self.atoms)
+        f = self.form
+        return tuple(map(Fraction, f.masses, repeat(f.den)))
 
     @cached_property
     def _cum(self) -> tuple[Fraction, ...]:
@@ -252,7 +258,8 @@ class FiniteDistribution:
 
     @property
     def support_max(self) -> Fraction:
-        return self.values[-1]
+        f = self.form
+        return Fraction(f.values[-1], f.scale)
 
     def cdf(self, x, side: Side = "right") -> Fraction:
         """CDF value at x: mass at values <= x, or < x for side="left"."""
@@ -289,7 +296,7 @@ class FiniteDistribution:
         """
         n = _check_copy_count(n)
         t = self._table
-        return t.power_survival(t.cols[0], t.dens[0], n)
+        return t.power_survival(*t.product, n)
 
     def to_step(self) -> "SurvivalStep":
         return SurvivalStep(self.values, self._cum)
@@ -366,57 +373,61 @@ class SurvivalStep:
 
 @dataclass(frozen=True)
 class CdfTable:
-    """Member CDFs as integers over their merged support.
+    """The CDFs of the members' maximum and of their mixture over the merged support.
 
     ``xs`` is the merged support in increasing order, each point an integer
-    over the common value ``scale``.  ``cols[i][k]`` is member i's CDF at
-    ``xs[k]`` as an integer numerator over ``dens[i]``, the lcm of that
-    member's mass denominators.  Between merged points every CDF built from
-    the columns is constant, so each survival integral is one integer sum
-    over the grid with one division at the end.  Rows are formed with
-    ``+``, ``-`` and ``*`` on the entries only.
+    over the common value ``scale``.  Each row is a pair ``(nums, den)``:
+    ``product`` gives prod_i F_i(xs[k]) as ``nums[k]`` over the product of
+    the members' mass denominators, and ``mixture`` gives mean_i F_i(xs[k])
+    over n times their lcm.  Between merged points both CDFs are constant,
+    so each survival integral is one integer sum over the grid with one
+    division at the end.
     """
 
     scale: int
     xs: tuple[int, ...]
-    dens: tuple[int, ...]
-    cols: tuple[tuple[int, ...], ...]
+    product: tuple[tuple[int, ...], int]
+    mixture: tuple[tuple[int, ...], int]
 
     @classmethod
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
+        """Both rows in one sweep over the members' jumps, in integers."""
         forms = [d.form for d in members]
         if len(forms) == 1:
             f, = forms
-            return cls(f.scale, f.values, (f.den,), (tuple(accumulate(f.masses)),))
+            row = (tuple(accumulate(f.masses)), f.den)
+            return cls(f.scale, f.values, row, row)
         scale = math.lcm(*(f.scale for f in forms))
-        columns = [f.values if f.scale == scale
-                   else [x * (scale // f.scale) for x in f.values] for f in forms]
-        xs = sorted(set().union(*columns))
-        index = {x: k for k, x in enumerate(xs)}
-        cols = []
-        for f, column in zip(forms, columns):
-            jumps = [0] * len(xs)
-            for x, m in zip(column, f.masses):
-                jumps[index[x]] = m
-            cols.append(tuple(accumulate(jumps)))
-        return cls(scale, tuple(xs), tuple(f.den for f in forms), tuple(cols))
+        common = math.lcm(*(f.den for f in forms))
+        jumps: dict[int, list[tuple[int, int, int]]] = {}
+        for i, f in enumerate(forms):
+            r, w = scale // f.scale, common // f.den
+            for x, m in zip(f.values, f.masses):
+                jumps.setdefault(x * r, []).append((i, m, w * m))
+        xs = sorted(jumps)
+        # the product of the non-zero member CDFs, and how many are still 0
+        cdfs = [0] * len(forms)
+        p, zeros, mix = 1, len(forms), 0
+        prod_nums, mix_nums = [], []
+        for x in xs:
+            for i, m, wm in jumps[x]:
+                old = cdfs[i]
+                new = cdfs[i] = old + m
+                mix += wm
+                if old:
+                    p = p // old * new
+                else:
+                    p *= new
+                    zeros -= 1
+            prod_nums.append(0 if zeros else p)
+            mix_nums.append(mix)
+        return cls(scale, tuple(xs),
+                   (tuple(prod_nums), math.prod(f.den for f in forms)),
+                   (tuple(mix_nums), len(forms) * common))
 
     @cached_property
     def _widths(self) -> tuple[int, ...]:
         return tuple(b - a for a, b in zip(self.xs, self.xs[1:]))
-
-    @cached_property
-    def product(self) -> tuple[tuple[int, ...], int]:
-        """The CDF of the members' maximum: numerators over the product of dens."""
-        return tuple(math.prod(row) for row in zip(*self.cols)), math.prod(self.dens)
-
-    @cached_property
-    def mixture(self) -> tuple[tuple[int, ...], int]:
-        """The equally-weighted mixture CDF: numerators over n * lcm(dens)."""
-        common = math.lcm(*self.dens)
-        weights = [common // den for den in self.dens]
-        return (tuple(sum(map(mul, row, weights)) for row in zip(*self.cols)),
-                len(self.dens) * common)
 
     def survival(self, nums, den: int) -> Fraction:
         """The integral of 1 - nums[k]/den over [xs[k], xs[k+1]) and of 1 below xs[0].
@@ -485,8 +496,11 @@ class Assembly:
         return t.survival(*t.product)
 
     def max_distribution(self) -> FiniteDistribution:
-        """The distribution of the maximum of the members."""
-        return self.product_step().to_distribution()
+        """The distribution of the maximum of the members: the product row's jumps."""
+        t = self.table
+        nums, den = t.product
+        return FiniteDistribution.from_ratios(
+            ((x, t.scale), (b - a, den)) for x, a, b in zip(t.xs, (0, *nums), nums))
 
     def mixture(self) -> FiniteDistribution:
         """The equally-weighted probability mixture of the members."""
