@@ -87,19 +87,26 @@ def test_corners_by_hand():
     assert Assembly((single,)).expected_max() == single.expected_value()
 
 
+def _check_rows(a):
+    # the survival integrals and the gam_gap integrand read these rows; they
+    # must equal the CDF products and means computed point by point
+    t = a.table
+    prod_nums, prod_den = t.product
+    mix_nums, mix_den = t.mixture
+    assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
+    assert t.scale == math.lcm(*(d.form.scale for d in a.members))
+    assert len(prod_nums) == len(mix_nums) == len(t.xs)
+    for k, x in enumerate(a.merged_support):
+        cdfs = [d.cdf(x) for d in a.members]
+        assert F(prod_nums[k], prod_den) == math.prod(cdfs)
+        assert F(mix_nums[k], mix_den) == sum(cdfs) / a.n
+    assert prod_nums[-1] == prod_den and mix_nums[-1] == mix_den
+
+
 def test_rows_match_pointwise_cdfs():
-    # the gam_gap integrand reads these rows; they must equal the CDF
-    # products and means computed point by point
     rng = random.Random(23)
     for _ in range(30):
-        a = random_assembly(rng, n_range=(1, 5))
-        t = a.table
-        prod_nums, prod_den = t.product
-        mix_nums, mix_den = t.mixture
-        for k, x in enumerate(a.merged_support):
-            cdfs = [d.cdf(x) for d in a.members]
-            assert F(prod_nums[k], prod_den) == math.prod(cdfs)
-            assert F(mix_nums[k], mix_den) == sum(cdfs) / a.n
+        _check_rows(random_assembly(rng, n_range=(1, 5)))
 
 
 @seed(805_0448)
@@ -119,7 +126,7 @@ def test_integer_forms_match_the_atoms(a):
                      for x, m in zip(f.values, f.masses)]
         assert FiniteDistribution.from_ratios(reversed(unreduced)).form == f
     assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
-    # each member's own one-row table, read as a step function, gives its
+    # each member's one-member table, read as a step function, gives its
     # CDF at every merged point (the rows test covers the merged tables)
     for d in a.members:
         t = Assembly((d,)).table
@@ -136,16 +143,15 @@ def _dist(*pairs):
 
 
 half, third = F(1, 2), F(1, 3)
-#: assemblies at the corners of the one-sweep table build
+#: assemblies at the corners of the one-sweep table build, named where used
 CORNERS = (
-    Assembly((_dist((1, half), (3, half)),)),                              # n = 1
+    Assembly((_dist((1, half), (3, half)),)),
     Assembly((FiniteDistribution.point_mass(2), FiniteDistribution.point_mass(0))),
     Assembly((_dist((0, third), (2, 1 - third)), _dist((1, half), (2, half)))),
-    Assembly((_dist((0, half), (1, half)), _dist((2, half), (3, half)))),  # disjoint
-    Assembly((_dist((0, third), (5, 1 - third)),) * 3),                  # identical
-    Assembly((_dist((1, F(1, 4)), (2, F(3, 4))), _dist((1, half), (2, half)),
-              _dist((2, 1)))),                                             # shared values
-    # scales 2 and 3 merge on scale 6, above either member's own
+    Assembly((_dist((0, half), (1, half)), _dist((2, half), (3, half)))),
+    Assembly((_dist((0, third), (5, 1 - third)),) * 3),
+    Assembly((_dist((1, F(1, 4)), (2, F(3, 4))), _dist((1, half), (2, half)), _dist((2, 1)))),
+    # scales 2 and 3 merge on scale 6
     Assembly((_dist((half, half), (F(3, 2), half)), _dist((third, F(1, 5)), (1, F(4, 5))))),
 )
 
@@ -186,17 +192,7 @@ def corner_assemblies(draw):
 @example(a=CORNERS[5]).via("shared values")
 @example(a=CORNERS[6]).via("merged scale above every member's own")
 def test_swept_rows_match_pointwise_cdfs(a):
-    t = a.table
-    prod_nums, prod_den = t.product
-    mix_nums, mix_den = t.mixture
-    assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
-    assert t.scale == math.lcm(*(d.form.scale for d in a.members))
-    assert len(prod_nums) == len(mix_nums) == len(t.xs)
-    for k, x in enumerate(a.merged_support):
-        cdfs = [d.cdf(x) for d in a.members]
-        assert F(prod_nums[k], prod_den) == math.prod(cdfs)
-        assert F(mix_nums[k], mix_den) == sum(cdfs) / a.n
-    assert prod_nums[-1] == prod_den and mix_nums[-1] == mix_den
+    _check_rows(a)
 
 
 @seed(805_0450)
