@@ -14,8 +14,8 @@ with explicit error radii instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dist import Assembly, as_rational
 from .enclosure import DEFAULT_TOL, Enclosure, as_tolerance, nth_root
@@ -117,8 +117,7 @@ def holder_lower(m_list, b, n: int, tol=DEFAULT_TOL) -> Enclosure:
     return Enclosure(b - root.hi, b - root.lo)
 
 
-@dataclass(frozen=True)
-class GamGapReport:
+class GamGapReport(NamedTuple):
     """The L1 gap between arithmetic and geometric means of the member CDFs.
 
     ``gap`` integrates (mean_i F_i - (prod_i F_i)**(1/n)) over the support.
@@ -166,7 +165,8 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     gap = Enclosure(gap_lo, gap_hi)
     e_u = sum((d.expected_value() for d in a.members), _ZERO) / n
     mixture_form = Enclosure(ev_lo - e_u, ev_hi - e_u)
-    bound = (1 - Fraction(1, n)) * max(a.similar_means())
+    m_bar, upper = performance_bounds(a.similar_means(), n)
+    bound = upper - m_bar
 
     if gap.hi < 0:
         raise InvariantViolation(f"CDF mean gap certified negative: {gap}")
@@ -180,8 +180,7 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     return GamGapReport(gap=gap, bound=bound, gap_mixture_form=mixture_form)
 
 
-@dataclass(frozen=True)
-class ChainChecks:
+class ChainChecks(NamedTuple):
     """Pass/fail of each inequality in the bound chain.
 
     The first three comparisons are exact rational comparisons.  The two
@@ -206,16 +205,7 @@ class ChainChecks:
         )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every quantity in the bound chain for one assembly.
-
-    ``theta`` is the mixing factor E[X_max] / max(M); by convention it is 1
-    for the degenerate all-zero assembly (where both sides vanish).
-    ``mixture_e`` is distribution-dependent: it cannot be written in terms of
-    M_1..M_n alone, unlike the other bounds.
-    """
-
+class _BoundReportFields(NamedTuple):
     n: int
     m_list: tuple[Fraction, ...]
     m_bar: Fraction
@@ -227,7 +217,21 @@ class BoundReport:
     chain: ChainChecks
     holder: Enclosure | None = None
 
-    def __post_init__(self):
+
+class BoundReport(_BoundReportFields):
+    """Every quantity in the bound chain for one assembly.
+
+    ``theta`` is the mixing factor E[X_max] / max(M); by convention it is 1
+    for the degenerate all-zero assembly (where both sides vanish).
+    ``mixture_e`` is distribution-dependent: it cannot be written in terms of
+    M_1..M_n alone, unlike the other bounds.  Construction checks that the
+    summary fields agree with ``m_list``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.m_list) != self.n:
             raise InvariantViolation("m_list length disagrees with n")
         if self.m_bar * self.n != sum(self.m_list, _ZERO):
@@ -236,6 +240,11 @@ class BoundReport:
             raise InvariantViolation("m_max is not the max of m_list")
         if self.theta * self.m_max != self.exact_e:
             raise InvariantViolation("theta * m_max != exact_e")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
+        return cls(*iterable)
 
 
 def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
@@ -248,11 +257,10 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
     tol = as_tolerance(tol)
     n = a.n
     m_list = a.similar_means()
-    m_bar = sum(m_list, _ZERO) / n
+    m_bar, upper = performance_bounds(m_list, n)
     m_max = max(m_list)
     exact_e = a.expected_max()
     mixture_e = mixture_lower(a)
-    upper = m_bar + Fraction(n - 1, n) * m_max
     theta = exact_e / m_max if m_max else _ONE
 
     holder = None

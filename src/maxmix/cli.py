@@ -21,12 +21,11 @@ violation (including skipped sweep points), 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds, extremal, oracle, transforms
 from .dist import (
@@ -54,8 +53,7 @@ EXIT_INVARIANT = 3
 # assembly files
 
 
-@dataclass(frozen=True)
-class AssemblyDocument:
+class AssemblyDocument(NamedTuple):
     assembly: Assembly
     name: str | None = None
     bound: Fraction | None = None
@@ -336,8 +334,7 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point; the chain ordering must hold within every row."""
 
     parameter: Fraction
@@ -347,9 +344,6 @@ class SweepRow:
     upper: Fraction
     theta: Fraction
     gap: Fraction
-
-
-_SWEEP_FIELDS = ("parameter", "m_bar", "mixture_e", "exact_e", "upper", "theta", "gap")
 
 
 def _sweep_points(args) -> list[Fraction]:
@@ -378,6 +372,8 @@ def _row_for(param: Fraction, a: Assembly) -> SweepRow:
 
 
 def cmd_sweep(args) -> int:
+    import csv  # only sweep writes CSV; other commands skip its import
+
     if (args.template is None) == (args.extremal_n is None):
         raise _UsageError("give exactly one of --template or --extremal-n")
     points = _sweep_points(args)
@@ -404,10 +400,8 @@ def cmd_sweep(args) -> int:
         m_list = (as_rational(args.equal),) * n
         for delta in points:
             try:
-                schedule = tuple(
-                    1 - delta * (1 + Fraction(n - 1 - k, 1000)) for k in range(1, n)
-                )
-                spec = extremal.ExtremalSpec(m_list, Fraction(1), schedule)
+                spec = extremal.ExtremalSpec(m_list, Fraction(1),
+                                             extremal._staggered(delta, n))
                 build_for[delta] = extremal.build(spec)
             except PreconditionError as exc:
                 skipped.append((delta, str(exc)))
@@ -418,15 +412,14 @@ def cmd_sweep(args) -> int:
         print(f"warning: skipping {fraction_str(param)}: {reason}", file=sys.stderr)
 
     header = []
-    for field in _SWEEP_FIELDS:
+    for field in SweepRow._fields:
         header.extend([field, field + "_dec"])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             record = []
-            for field in _SWEEP_FIELDS:
-                x = getattr(row, field)
+            for x in row:
                 record.extend([fraction_str(x), decimal_str(x)])
             writer.writerow(record)
     print(f"wrote {args.out} ({len(rows)} rows, {len(skipped)} skipped)")

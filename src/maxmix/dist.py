@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -174,13 +173,28 @@ class IntegerForm(NamedTuple):
         return cls(scale, tuple(values), den, tuple(masses))
 
 
+class Frozen:
+    """Refuses attribute assignment and deletion, like a frozen record.
+
+    Constructors set their fields with ``object.__setattr__``;
+    `cached_property` writes to the instance ``__dict__`` and is unaffected.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _ratios(atoms):
     return (((v.numerator, v.denominator), (m.numerator, m.denominator))
             for v, m in atoms)
 
 
-@dataclass(frozen=True, init=False)
-class FiniteDistribution:
+class FiniteDistribution(Frozen):
     """A finite discrete distribution on the non-negative rationals.
 
     ``form`` is the one stored representation, an `IntegerForm`; it is
@@ -301,13 +315,20 @@ class FiniteDistribution:
     def to_step(self) -> "SurvivalStep":
         return SurvivalStep(self.values, self._cum)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.form == other.form
+
+    def __hash__(self):
+        return hash((self.form,))
+
     def __repr__(self):
         inner = ", ".join(f"{fraction_str(v)}:{fraction_str(m)}" for v, m in self.atoms)
         return f"FiniteDistribution({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class SurvivalStep:
+class SurvivalStep(Frozen):
     """A piecewise-constant right-continuous CDF on [0, inf).
 
     The CDF equals ``plateaus[i]`` on ``[breakpoints[i], breakpoints[i+1])``,
@@ -318,22 +339,34 @@ class SurvivalStep:
     breakpoints: tuple[Fraction, ...]
     plateaus: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(self.breakpoints))
-        object.__setattr__(self, "plateaus", tuple(self.plateaus))
-        if len(self.breakpoints) != len(self.plateaus) or not self.breakpoints:
+    def __init__(self, breakpoints: Iterable[Fraction], plateaus: Iterable[Fraction]):
+        breakpoints, plateaus = tuple(breakpoints), tuple(plateaus)
+        if len(breakpoints) != len(plateaus) or not breakpoints:
             raise PreconditionError("breakpoints and plateaus must align and be non-empty")
-        if self.breakpoints[0] < 0:
+        if breakpoints[0] < 0:
             raise PreconditionError("breakpoints must be non-negative")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
             raise PreconditionError("breakpoints must be strictly increasing")
         prev = _ZERO
-        for p in self.plateaus:
+        for p in plateaus:
             if p < prev or p > 1:
                 raise PreconditionError("plateaus must be non-decreasing within [0, 1]")
             prev = p
-        if self.plateaus[-1] != 1:
+        if plateaus[-1] != 1:
             raise PreconditionError("final plateau must equal 1")
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "plateaus", plateaus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.breakpoints, self.plateaus) == (other.breakpoints, other.plateaus)
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.plateaus))
+
+    def __repr__(self):
+        return f"SurvivalStep(breakpoints={self.breakpoints!r}, plateaus={self.plateaus!r})"
 
     def value_at(self, x: Fraction) -> Fraction:
         i = bisect.bisect_right(self.breakpoints, x)
@@ -371,8 +404,7 @@ class SurvivalStep:
         return FiniteDistribution.from_pairs(pairs)
 
 
-@dataclass(frozen=True)
-class CdfTable:
+class CdfTable(Frozen):
     """The CDFs of the members' maximum and of their mixture over the merged support.
 
     ``xs`` is the merged support in increasing order, each point an integer
@@ -388,6 +420,28 @@ class CdfTable:
     xs: tuple[int, ...]
     product: tuple[tuple[int, ...], int]
     mixture: tuple[tuple[int, ...], int]
+
+    def __init__(self, scale: int, xs: tuple[int, ...],
+                 product: tuple[tuple[int, ...], int], mixture: tuple[tuple[int, ...], int]):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "mixture", mixture)
+
+    def _key(self):
+        return self.scale, self.xs, self.product, self.mixture
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CdfTable(scale={self.scale!r}, xs={self.xs!r}, "
+                f"product={self.product!r}, mixture={self.mixture!r})")
 
     @classmethod
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
@@ -442,8 +496,7 @@ class CdfTable:
         return self.survival((x**n for x in nums), den**n)
 
 
-@dataclass(frozen=True)
-class Assembly:
+class Assembly(Frozen):
     """An ordered family of n independent members (n >= 1).
 
     The member count doubles as the copy count for every per-member
@@ -453,13 +506,22 @@ class Assembly:
 
     members: tuple[FiniteDistribution, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
+    def __init__(self, members: Iterable[FiniteDistribution]):
+        members = tuple(members)
+        if not members:
             raise PreconditionError("an assembly needs at least one member")
-        for d in self.members:
+        for d in members:
             if not isinstance(d, FiniteDistribution):
                 raise TypeError(f"assembly members must be FiniteDistribution, got {d!r}")
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
 
     @classmethod
     def of_copies(cls, d: FiniteDistribution, n: int) -> "Assembly":

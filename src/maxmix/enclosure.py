@@ -10,9 +10,9 @@ of a silent float error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .dist import Frozen
 from .errors import PreconditionError
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -26,18 +26,31 @@ def as_tolerance(tol) -> Fraction:
     return t
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A closed rational interval [lo, hi] certified to contain a real value."""
+class Enclosure(Frozen):
+    """A closed rational interval [lo, hi] certified to contain a real value.
+
+    Not a tuple: ``+`` and ``-`` are interval arithmetic, and intervals have
+    no total order.
+    """
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
             raise TypeError("enclosure endpoints must be Fractions")
-        if self.lo > self.hi:
-            raise PreconditionError(f"empty enclosure: [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise PreconditionError(f"empty enclosure: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def exact(cls, x: Fraction) -> "Enclosure":

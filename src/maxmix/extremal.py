@@ -11,9 +11,10 @@ instead of taking limits symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from .bounds import performance_bounds
 from .dist import Assembly, FiniteDistribution, as_rational
 from .errors import PreconditionError, ResourceCapExceeded
 
@@ -28,8 +29,13 @@ _MAX_ROUNDS = 60
 _STAGGER = Fraction(1, 1000)
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class _ExtremalFields(NamedTuple):
+    m_list: tuple[Fraction, ...]
+    closeness: Fraction
+    p_schedule: tuple[Fraction, ...] | None = None
+
+
+class ExtremalSpec(_ExtremalFields):
     """Targets for the extremal builder.
 
     ``m_list`` holds the target similar means in ascending order (the last
@@ -37,33 +43,35 @@ class ExtremalSpec:
     gap the automatic builder must reach.  ``p_schedule``, when given, fixes
     the zero masses of the n-1 two-point members explicitly and disables the
     automatic tightening (the achieved gap is then whatever it is).
+    Construction converts every entry with `as_rational` and checks it.
     """
 
-    m_list: tuple[Fraction, ...]
-    closeness: Fraction
-    p_schedule: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        ms = tuple(as_rational(m) for m in self.m_list)
-        object.__setattr__(self, "m_list", ms)
-        object.__setattr__(self, "closeness", as_rational(self.closeness))
+    def __new__(cls, m_list, closeness, p_schedule=None):
+        ms = tuple(as_rational(m) for m in m_list)
+        closeness = as_rational(closeness)
         if not ms:
             raise PreconditionError("m_list must not be empty")
         if any(m <= 0 for m in ms):
             raise PreconditionError("target similar means must be positive")
         if any(x > y for x, y in zip(ms, ms[1:])):
             raise PreconditionError("target similar means must be ascending")
-        if self.closeness <= 0:
-            raise PreconditionError(f"closeness must be positive, got {self.closeness}")
-        if self.p_schedule is not None:
-            ps = tuple(as_rational(p) for p in self.p_schedule)
-            object.__setattr__(self, "p_schedule", ps)
-            if len(ps) != len(ms) - 1:
+        if closeness <= 0:
+            raise PreconditionError(f"closeness must be positive, got {closeness}")
+        if p_schedule is not None:
+            p_schedule = tuple(as_rational(p) for p in p_schedule)
+            if len(p_schedule) != len(ms) - 1:
                 raise PreconditionError(
-                    f"p_schedule needs {len(ms) - 1} entries, got {len(ps)}"
+                    f"p_schedule needs {len(ms) - 1} entries, got {len(p_schedule)}"
                 )
-            if any(not 0 < p < 1 for p in ps):
+            if any(not 0 < p < 1 for p in p_schedule):
                 raise PreconditionError("every scheduled zero mass must lie in (0, 1)")
+        return super().__new__(cls, ms, closeness, p_schedule)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -79,10 +87,7 @@ def theta_sup(n: int) -> Fraction:
 
 def gap(a: Assembly) -> Fraction:
     """Exact slack of the upper bound: mean(M) + (n-1)/n * max(M) - E[X_max]."""
-    m_list = a.similar_means()
-    m_bar = sum(m_list, _ZERO) / a.n
-    upper = m_bar + Fraction(a.n - 1, a.n) * max(m_list)
-    return upper - a.expected_max()
+    return performance_bounds(a.similar_means(), a.n)[1] - a.expected_max()
 
 
 def _staggered(delta: Fraction, n: int) -> tuple[Fraction, ...]:

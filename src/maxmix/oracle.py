@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dist import Assembly
 from .errors import PreconditionError, ResourceCapExceeded
@@ -40,8 +39,7 @@ _MASK = (1 << 64) - 1
 _CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """A seeded Monte Carlo estimate; identical inputs give identical bits."""
 
     mean: float

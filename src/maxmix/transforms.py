@@ -21,9 +21,8 @@ certificate raises InvariantViolation rather than returning quietly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .dist import Assembly, FiniteDistribution, as_rational
 from .enclosure import DEFAULT_TOL, as_tolerance, nth_root
@@ -43,8 +42,7 @@ def _direction_of(e_delta: Fraction) -> Direction:
     return "unchanged"
 
 
-@dataclass(frozen=True)
-class TransformOutcome:
+class TransformOutcome(NamedTuple):
     """A transformed distribution (or assembly) plus its certificates.
 
     ``m_residual`` is the exact difference of each preserved similar mean:

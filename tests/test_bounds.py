@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import (
@@ -17,6 +17,7 @@ from maxmix import (
     equality_diagnosis,
     full_report,
     gam_gap,
+    gap,
     grouped_bounds,
     holder_lower,
     mixture_dominance_check,
@@ -237,3 +238,15 @@ def test_equal_mean_formula_bounds(n, m):
     lower, upper = performance_bounds([m] * n, n)
     assert lower == m
     assert upper == (2 - F(1, n)) * m
+
+
+@seed(1_406_001)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_upper_bound_formula(s):
+    a = random_assembly(random.Random(s), max_atoms=4)
+    m_bar, upper = performance_bounds(a.similar_means(), a.n)
+    assert full_report(a).upper == upper
+    assert gap(a) + a.expected_max() == upper
+    if a.n <= 3:  # gam_gap takes one root per merged point
+        assert gam_gap(a, tol=F(1, 10**6)).bound == upper - m_bar

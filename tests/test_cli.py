@@ -1,12 +1,18 @@
 """Tests for the command line surface and the assembly file format."""
 
+import contextlib
+import io
 import random
 import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from maxmix import FiniteDistribution, as_rational
+from maxmix import FiniteDistribution, as_rational, extremal, full_report
 from maxmix.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -311,6 +317,21 @@ class TestSweep:
         gaps = [as_rational(r[12]) for r in rows]  # ascending delta order
         assert gaps[0] < gaps[1] < gaps[2]
 
+    def test_extremal_rows_follow_the_builder_stagger(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--extremal-n", "3", "--equal", "1",
+                     "--points", "1/2,1/10,1/1000", "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1/1000", "1/10", "1/2"]
+        m_list = (F(1),) * 3
+        for r in rows:
+            delta = as_rational(r[0])
+            a = extremal._realize(m_list, extremal._staggered(delta, 3))
+            report = full_report(a)
+            want = (report.m_bar, report.mixture_e, report.exact_e, report.upper,
+                    report.theta, report.upper - report.exact_e)
+            assert tuple(as_rational(x) for x in r[2::2]) == want
+
     def test_zero_steps_is_a_usage_error(self, tmp_path, capsys):
         tmpl = tmp_path / "tmpl.txt"
         tmpl.write_text("n: 1\nmember: 0:$p 1:$q\n")
@@ -324,3 +345,32 @@ class TestSweep:
         code = main(["sweep", "--template", str(tmpl),
                      "--points", "1/2", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_PRECONDITION
+
+
+# ---------------------------------------------------------------------------
+# every valid document verifies
+
+
+def _verify(path, *extra) -> int:
+    """The exit code; an escaping exception fails the test instead."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["verify", str(path), *extra])
+
+
+@seed(1_406_002)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([None, "case", "two words", "a:b"]),
+       st.sampled_from([None, F(0), F(1, 3), F(5)]))
+def test_rendered_documents_read_back_and_verify(s, name, slack):
+    a = random_assembly(random.Random(s), max_atoms=5)
+    bound = None if slack is None else a.support_max + slack
+    doc = AssemblyDocument(a, name=name, bound=bound)
+    text = render_assembly(doc)
+    assert parse_assembly_text(text) == doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        assert _verify(path) == EXIT_OK
+        below = fraction_str(a.support_max - F(1, 2))
+        # with "=": argparse would read a negative value as an option
+        assert _verify(path, f"--bound={below}") == EXIT_PRECONDITION

@@ -1,0 +1,192 @@
+"""Value semantics of the package's record and value types.
+
+Results are `NamedTuple` records (`BoundReport` and `ExtremalSpec` check
+their fields on construction); `Enclosure`, `FiniteDistribution`,
+`SurvivalStep`, `CdfTable` and `Assembly` are plain classes, because tuple
+concatenation and ordering would be wrong for them.  Either way an instance
+refuses attribute assignment, compares and hashes by its fields, and keeps
+its repr.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from maxmix import (
+    Assembly,
+    BoundReport,
+    ChainChecks,
+    Enclosure,
+    ExtremalSpec,
+    FiniteDistribution,
+    GamGapReport,
+    InvariantViolation,
+    McEstimate,
+    PreconditionError,
+    SurvivalStep,
+    TransformOutcome,
+    full_report,
+)
+from maxmix.cli import AssemblyDocument, SweepRow
+from maxmix.dist import CdfTable
+
+
+def _dist():
+    return FiniteDistribution.from_pairs([(0, F(1, 4)), (F(3, 2), F(3, 4))])
+
+
+def _assembly():
+    return Assembly((_dist(), FiniteDistribution.point_mass(1)))
+
+
+def _chain():
+    return ChainChecks(mean_le_mixture=True, mixture_le_exact=True, exact_le_upper=True)
+
+
+# Each builder makes a fresh instance from equal fields on every call.
+RECORDS = {
+    "McEstimate": lambda: McEstimate(mean=1.5, stderr=0.25, samples=10, seed=3),
+    "TransformOutcome": lambda: TransformOutcome(
+        result=_dist(), m_residual=F(0), e_delta=F(1, 8), direction="increased"),
+    "GamGapReport": lambda: GamGapReport(
+        gap=Enclosure(F(0), F(1, 3)), bound=F(1, 2), gap_mixture_form=Enclosure.exact(F(1, 6))),
+    "ChainChecks": _chain,
+    "AssemblyDocument": lambda: AssemblyDocument(_assembly(), name="pair", bound=F(2)),
+    "SweepRow": lambda: SweepRow(*(F(k, 7) for k in range(1, 8))),
+    "BoundReport": lambda: full_report(_assembly()),
+    "ExtremalSpec": lambda: ExtremalSpec((F(1), F(2)), F(1, 10), (F(1, 2),)),
+}
+VALUES = {
+    "Enclosure": lambda: Enclosure(F(1, 3), F(1, 2)),
+    "FiniteDistribution": _dist,
+    "SurvivalStep": lambda: _dist().to_step(),
+    "CdfTable": lambda: _assembly().table,
+    "Assembly": _assembly,
+}
+BUILDERS = {**RECORDS, **VALUES}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_assignment_and_deletion_are_refused(name):
+    x = BUILDERS[name]()
+    field = next(iter(x._fields if name in RECORDS else vars(x)))
+    with pytest.raises(AttributeError):
+        setattr(x, field, None)
+    with pytest.raises(AttributeError):
+        setattr(x, "extra", None)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_equal_fields_compare_and_hash_equal(name):
+    x, y = BUILDERS[name](), BUILDERS[name]()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_differ_from_other_classes(name):
+    x = VALUES[name]()
+    fields = tuple(vars(x).values())
+    assert x != fields and x != fields[0]
+    for other in VALUES:
+        if other != name:
+            assert x != VALUES[other]()
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_tuples(name):
+    x = RECORDS[name]()
+    assert isinstance(x, tuple) and x == tuple(x)
+    for other in RECORDS:
+        if other != name:
+            assert x != RECORDS[other]()
+
+
+def test_fields_that_differ_break_equality():
+    assert Enclosure(F(0), F(1)) != Enclosure(F(0), F(2))
+    assert _dist() != FiniteDistribution.point_mass(1)
+    assert Assembly((_dist(),)) != _assembly()
+    assert _chain() != _chain()._replace(exact_le_upper=False)
+
+
+def test_reprs_are_unchanged():
+    assert repr(Enclosure(F(1, 3), F(1, 2))) == "Enclosure(1/3, 1/2)"
+    assert repr(Enclosure.exact(F(2))) == "Enclosure(2)"
+    assert repr(_dist()) == "FiniteDistribution({0:1/4, 3/2:3/4})"
+    assert repr(_assembly()) == \
+        "Assembly(n=2, members=[FiniteDistribution({0:1/4, 3/2:3/4}), FiniteDistribution({1:1})])"
+    assert repr(_dist().to_step()) == (
+        "SurvivalStep(breakpoints=(Fraction(0, 1), Fraction(3, 2)), "
+        "plateaus=(Fraction(1, 4), Fraction(1, 1)))")
+    assert repr(_assembly().table) == \
+        "CdfTable(scale=2, xs=(0, 2, 3), product=((0, 1, 4), 4), mixture=((1, 5, 8), 8))"
+    assert repr(RECORDS["ExtremalSpec"]()) == (
+        "ExtremalSpec(m_list=(Fraction(1, 1), Fraction(2, 1)), "
+        "closeness=Fraction(1, 10), p_schedule=(Fraction(1, 2),))")
+
+
+def test_keyword_construction():
+    assert Enclosure(lo=F(1), hi=F(2)) == Enclosure(F(1), F(2))
+    assert Assembly(members=[_dist()]) == Assembly((_dist(),))
+    step = _dist().to_step()
+    assert SurvivalStep(breakpoints=list(step.breakpoints), plateaus=step.plateaus) == step
+    t = _assembly().table
+    assert CdfTable(scale=t.scale, xs=t.xs, product=t.product, mixture=t.mixture) == t
+    assert ExtremalSpec(m_list=[1, 2], closeness="1/10", p_schedule=["1/2"]) == \
+        RECORDS["ExtremalSpec"]()
+
+
+def test_extremal_spec_normalises_targets_to_fractions():
+    spec = ExtremalSpec(["1/2", 1], "1/100", ("1/3",))
+    assert spec.m_list == (F(1, 2), F(1)) and spec.closeness == F(1, 100)
+    assert spec.p_schedule == (F(1, 3),) and spec.n == 2
+    assert all(type(x) is F for x in (*spec.m_list, spec.closeness, *spec.p_schedule))
+    assert ExtremalSpec((3,), 1).p_schedule is None
+
+
+@pytest.mark.parametrize("args, message", [
+    (((), 1), "m_list must not be empty"),
+    (((0, 1), 1), "target similar means must be positive"),
+    (((2, 1), 1), "target similar means must be ascending"),
+    (((1, 1), 0), "closeness must be positive, got 0"),
+    (((1, 1), 1, ("1/2", "1/2")), "p_schedule needs 1 entries, got 2"),
+    (((1, 1), 1, (1,)), r"every scheduled zero mass must lie in \(0, 1\)"),
+])
+def test_extremal_spec_refusals(args, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        ExtremalSpec(*args)
+
+
+def test_replace_keeps_the_checks():
+    spec = RECORDS["ExtremalSpec"]()
+    assert spec._replace(m_list=["1/2", 1]).m_list == (F(1, 2), F(1))
+    with pytest.raises(PreconditionError, match="closeness must be positive"):
+        spec._replace(closeness=0)
+    report = full_report(_assembly())
+    assert report._replace(holder=None) == report
+    with pytest.raises(InvariantViolation, match="m_bar is not the mean"):
+        report._replace(m_bar=F(5))
+
+
+def test_extremal_spec_refuses_floats():
+    with pytest.raises(TypeError, match="refusing inexact float"):
+        ExtremalSpec((0.5,), 1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m_list", (F(1),), "m_list length disagrees with n"),
+    ("m_bar", F(5), "m_bar is not the mean of m_list"),
+    ("m_max", F(1), "m_max is not the max of m_list"),
+    ("theta", F(1), r"theta \* m_max != exact_e"),
+])
+def test_bound_report_refuses_inconsistent_fields(field, value, message):
+    fields = full_report(_assembly())._asdict()
+    BoundReport(**fields)
+    fields[field] = value
+    with pytest.raises(InvariantViolation, match=message):
+        BoundReport(**fields)
+    with pytest.raises(InvariantViolation, match=message):
+        BoundReport(*fields.values())
