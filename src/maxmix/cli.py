@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -435,6 +436,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that starts with "-" as an option unless its
+        # private ``_negative_number_matcher`` calls it a negative number, and
+        # its own pattern knows only -1 and -1.5.  Widen it to every token
+        # that starts like a number (-1/2, -1e-3), so that ``--bound -1/2``
+        # reads as a value, as ``--bound=-1/2`` does.  Subparsers inherit it.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 

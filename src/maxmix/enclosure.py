@@ -6,6 +6,13 @@ lower bound, the down-projection masses).  Roots are returned as `Enclosure`
 intervals whose endpoints are exact rationals bracketing the true value, so
 every downstream inequality check can carry an explicit error radius instead
 of a silent float error.
+
+Each root costs one integer root: x is scaled by 2**(k*n), with k the
+smallest non-negative integer such that 2**-k <= tol, and the floor root r
+of the scaled integer gives the dyadic enclosure [r/2**k, (r+1)/2**k]
+(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, on the integer
+root; Moore, *Interval Analysis*, 1966, on certified intervals).  Perfect
+rational powers are found first and returned exactly.
 """
 
 from __future__ import annotations
@@ -129,10 +136,14 @@ def int_nth_root(x: int, n: int) -> tuple[int, bool]:
 def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     """Enclosure of x**(1/n) for x >= 0, of width <= tol.
 
-    Perfect rational powers are detected (numerator and denominator both
-    perfect n-th powers in lowest terms) and returned as exact, degenerate
-    enclosures; otherwise the root is bracketed by bisection, so both
-    endpoints satisfy lo**n <= x <= hi**n at every step.
+    Perfect rational powers (numerator and denominator both perfect n-th
+    powers in lowest terms) are returned as exact, degenerate enclosures.
+    Otherwise, with k the smallest non-negative integer such that
+    2**-k <= tol and r the floor n-th root of floor(x * 2**(k*n)), the
+    enclosure is [r/2**k, (r+1)/2**k]: dyadic endpoints, width 2**-k.
+    lo**n < x < hi**n holds by construction: (r+1)**n is an integer above
+    floor(x * 2**(k*n)), and lo**n == x would make x a perfect rational
+    power, which the first case has already returned.
     """
     if x < 0:
         raise PreconditionError(f"cannot take an n-th root of a negative value: {x}")
@@ -145,14 +156,6 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     if exact_n and exact_d:
         return Enclosure.exact(Fraction(rn, rd))
     tol = as_tolerance(tol)
-    lo, hi = (x, Fraction(1)) if x < 1 else (Fraction(1), x)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        c = mid**n
-        if c == x:
-            return Enclosure.exact(mid)
-        if c < x:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    k = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**k >= 1/tol
+    r, _ = int_nth_root((x.numerator << (k * n)) // x.denominator, n)
+    return Enclosure(Fraction(r, 1 << k), Fraction(r + 1, 1 << k))

@@ -248,5 +248,4 @@ def test_one_upper_bound_formula(s):
     m_bar, upper = performance_bounds(a.similar_means(), a.n)
     assert full_report(a).upper == upper
     assert gap(a) + a.expected_max() == upper
-    if a.n <= 3:  # gam_gap takes one root per merged point
-        assert gam_gap(a, tol=F(1, 10**6)).bound == upper - m_bar
+    assert gam_gap(a, tol=F(1, 10**6)).bound == upper - m_bar

@@ -347,6 +347,37 @@ class TestSweep:
         assert code == EXIT_PRECONDITION
 
 
+class TestNegativeFractionArguments:
+    """``--opt -1/2`` reads as a value, exactly as ``--opt=-1/2`` does."""
+
+    @staticmethod
+    def _run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command,option,other", [
+        ("verify", "--bound", []),
+        ("transform", "--lo", ["--hi", "1"]),
+        ("transform", "--hi", ["--lo", "-1"]),
+        ("sweep", "--from", ["--to", "1/2", "--steps", "2"]),
+        ("sweep", "--to", ["--from", "-1", "--steps", "2"]),
+    ])
+    def test_space_form_matches_equals_form(self, tmp_path, command, option, other):
+        path = tmp_path / "a.txt"
+        if command == "sweep":
+            path.write_text("n: 1\nmember: 0:$p 1:$q\n")
+            head = ["sweep", "--template", str(path), "--out", str(tmp_path / "x.csv")]
+        else:
+            path.write_text(EXAMPLE)
+            head = [command, str(path)] + (["--op", "down"] if command == "transform" else [])
+        spaced = self._run(head + other + [option, "-1/2"])
+        joined = self._run(head + other + [f"{option}=-1/2"])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[1]
+
+
 # ---------------------------------------------------------------------------
 # every valid document verifies
 
@@ -372,5 +403,4 @@ def test_rendered_documents_read_back_and_verify(s, name, slack):
         path.write_text(text, encoding="utf-8")
         assert _verify(path) == EXIT_OK
         below = fraction_str(a.support_max - F(1, 2))
-        # with "=": argparse would read a negative value as an option
-        assert _verify(path, f"--bound={below}") == EXIT_PRECONDITION
+        assert _verify(path, "--bound", below) == EXIT_PRECONDITION

@@ -3,10 +3,43 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import Enclosure, PreconditionError, int_nth_root, nth_root
+
+
+def bisected_root(x: F, n: int, tol: F) -> Enclosure:
+    """Reference enclosure of x**(1/n): Fraction bisection of [min(x, 1), max(x, 1)].
+
+    Independent of ``nth_root``; every step keeps lo**n <= x <= hi**n.
+    """
+    lo, hi = (x, F(1)) if x < 1 else (F(1), x)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        c = mid**n
+        if c == x:
+            return Enclosure.exact(mid)
+        if c < x:
+            lo = mid
+        else:
+            hi = mid
+    return Enclosure(lo, hi)
+
+
+#: Above this many bits of numerator plus denominator the bisection is too
+#: slow to serve as a reference; only the certificates are checked there.
+REFERENCE_BITS = 1300
+
+
+def integers_of_up_to(max_bits: int):
+    """Integers in [0, 2**max_bits), their bit length drawn uniformly first."""
+    return st.sampled_from(range(max_bits + 1)).flatmap(
+        lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+
+
+radicands = st.builds(F, integers_of_up_to(600), integers_of_up_to(600).map(lambda d: d + 1))
+tolerances = st.builds(lambda m, e: F(m, 10**e), st.integers(1, 10), st.integers(4, 40))
 
 
 class TestIntNthRoot:
@@ -30,11 +63,20 @@ class TestIntNthRoot:
         with pytest.raises(PreconditionError):
             int_nth_root(-1, 2)
 
+    @given(integers_of_up_to(20_000), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_root_property(self, x, n):
+        r, exact = int_nth_root(x, n)
+        assert r**n <= x < (r + 1) ** n
+        assert exact == (r**n == x)
+
 
 class TestNthRoot:
     def test_perfect_rational_power_is_exact(self):
         got = nth_root(F(8, 27), 3)
         assert got.is_exact and got.lo == F(2, 3)
+        assert nth_root(F(8, 27), 3, F(1, 10)) == got  # whatever the tolerance
+        assert nth_root(F(1, 4), 2, F(1, 10**40)) == Enclosure.exact(F(1, 2))
 
     def test_zero_and_one(self):
         assert nth_root(F(0), 4).lo == 0
@@ -51,6 +93,32 @@ class TestNthRoot:
         got = nth_root(x, n, tol)
         assert got.width <= tol
         assert got.lo**n <= x <= got.hi**n
+
+    @seed(1_415_001)
+    @settings(max_examples=100, deadline=None)
+    @given(radicands, st.integers(2, 32), tolerances)
+    @example(F(8, 27), 3, F(1, 10**12))
+    @example(F(1, 4), 2, F(1, 10**12))
+    @example(F(0), 2, F(1, 10**12))
+    @example(F(1), 2, F(1, 10**12))
+    @example(F(2), 2, F(1, 10**40))
+    @example(F((1 << 5000) - 1, 3), 7, F(1, 10**40))
+    def test_agrees_with_bisection(self, x, n, tol):
+        got = nth_root(x, n, tol)
+        assert got.width <= tol
+        assert got.lo >= 0
+        if got.is_exact:
+            assert got.lo**n == x
+        else:
+            assert got.lo**n < x < got.hi**n
+        if x.numerator.bit_length() + x.denominator.bit_length() <= REFERENCE_BITS:
+            ref = bisected_root(x, n, tol)
+            assert got.lo <= ref.hi and ref.lo <= got.hi
+
+    def test_endpoints_are_dyadic_at_the_tolerance_scale(self):
+        got = nth_root(F(2), 2, F(1, 1000))  # 2**-10 <= 1/1000 < 2**-9
+        assert got.hi - got.lo == F(1, 1024)
+        assert got.lo == F(1448, 1024)
 
     def test_rejects_negative_radicand(self):
         with pytest.raises(PreconditionError):
