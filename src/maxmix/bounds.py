@@ -54,9 +54,7 @@ def grouped_bounds(m_list, k: int, m: int) -> tuple[Fraction, Fraction]:
         raise PreconditionError(
             f"group shape {k}x{m} does not match {len(ms)} members"
         )
-    if any(x < 0 for x in ms):
-        raise PreconditionError("similar means must be non-negative")
-    m_bar = sum(ms, _ZERO) / len(ms)
+    m_bar, _ = performance_bounds(ms, len(ms))
     return m_bar, m_bar + Fraction(k - 1, k) * max(ms)
 
 
@@ -296,8 +294,7 @@ def equality_diagnosis(a: Assembly) -> bool:
     a failure raises InvariantViolation (it would falsify the equality
     condition this function certifies).
     """
-    m_list = a.similar_means()
-    m_bar = sum(m_list, _ZERO) / a.n
+    m_bar, _ = performance_bounds(a.similar_means(), a.n)
     eq = a.expected_max() == m_bar
     if eq and any(d != a.members[0] for d in a.members[1:]):
         raise InvariantViolation(

@@ -274,24 +274,20 @@ def cmd_extremal(args) -> int:
     if (args.equal is None) == (args.m_list is None):
         raise _UsageError("give exactly one of --equal or --m-list")
     if args.equal is not None:
-        m_list = (as_rational(args.equal),) * args.n
+        m_list = (args.equal,) * args.n
     else:
-        m_list = tuple(as_rational(t) for t in args.m_list.split(","))
+        m_list = args.m_list
         if len(m_list) != args.n:
             raise PreconditionError(
                 f"--m-list has {len(m_list)} entries but --n is {args.n}"
             )
-    schedule = None
-    if args.p_schedule is not None:
-        schedule = tuple(as_rational(t) for t in args.p_schedule.split(","))
-    spec = extremal.ExtremalSpec(m_list, args.epsilon, schedule)
+    spec = extremal.ExtremalSpec(m_list, args.epsilon, args.p_schedule)
     a = extremal.build(spec)
 
-    g = extremal.gap(a)
     report = bounds.full_report(a)
     _show("theta", report.theta)
     _show("theta_sup", extremal.theta_sup(a.n))
-    _show("gap", g)
+    _show("gap", report.upper - report.exact_e)
     name = f"extremal-n{a.n}"
     _write_assembly(AssemblyDocument(a, name=name), args.out)
     return EXIT_OK
@@ -305,11 +301,9 @@ def _companion_of(a: Assembly, member: int) -> FiniteDistribution:
 def cmd_transform(args) -> int:
     doc = parse_assembly_file(args.input)
     a = doc.assembly
-    lo = as_rational(args.lo)
-    hi = as_rational(args.hi)
 
     if args.op == "down":
-        outcome = transforms.down_project(a, lo, hi, tol=args.tol)
+        outcome = transforms.down_project(a, args.lo, args.hi, tol=args.tol)
         result = outcome.result
         for i, res in enumerate(outcome.m_residual, start=1):
             _show(f"m_residual_{i}", res)
@@ -321,9 +315,9 @@ def cmd_transform(args) -> int:
         target = a.members[args.member]
         companion = _companion_of(a, args.member)
         if args.op == "coalesce":
-            outcome = transforms.coalesce(target, lo, hi, companion, a.n)
+            outcome = transforms.coalesce(target, args.lo, args.hi, companion, a.n)
         else:
-            outcome = transforms.reduce_pair(target, lo, hi, companion, a.n)
+            outcome = transforms.reduce_pair(target, args.lo, args.hi, companion, a.n)
         members = list(a.members)
         members[args.member] = outcome.result
         result = Assembly(tuple(members))
@@ -349,15 +343,13 @@ class SweepRow(NamedTuple):
 
 def _sweep_points(args) -> list[Fraction]:
     if args.points is not None:
-        return [as_rational(t) for t in args.points.split(",")]
+        return list(args.points)
     if args.start is None or args.stop is None or args.steps is None:
         raise _UsageError("give --points or all of --from/--to/--steps")
-    lo = as_rational(args.start)
-    hi = as_rational(args.stop)
     if args.steps == 1:
-        return [lo]
-    step = (hi - lo) / (args.steps - 1)
-    return [lo + j * step for j in range(args.steps)]
+        return [args.start]
+    step = (args.stop - args.start) / (args.steps - 1)
+    return [args.start + j * step for j in range(args.steps)]
 
 
 def _row_for(param: Fraction, a: Assembly) -> SweepRow:
@@ -398,7 +390,7 @@ def cmd_sweep(args) -> int:
         if args.equal is None:
             raise _UsageError("extremal sweeps need --equal")
         n = args.extremal_n
-        m_list = (as_rational(args.equal),) * n
+        m_list = (args.equal,) * n
         for delta in points:
             try:
                 spec = extremal.ExtremalSpec(m_list, Fraction(1),
@@ -456,6 +448,10 @@ def _rational_arg(tok: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {tok!r}") from None
 
 
+def _rational_list(text: str) -> tuple[Fraction, ...]:
+    return tuple(_rational_arg(tok) for tok in text.split(","))
+
+
 def _positive_rational(tok: str) -> Fraction:
     x = _rational_arg(tok)
     if x <= 0:
@@ -492,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--equal", type=_positive_rational, default=None,
                    help="one shared target similar mean")
-    p.add_argument("--m-list", default=None,
+    p.add_argument("--m-list", type=_rational_list, default=None,
                    help="comma-separated ascending target similar means")
     p.add_argument("--epsilon", type=_positive_rational, required=True)
-    p.add_argument("--p-schedule", default=None,
+    p.add_argument("--p-schedule", type=_rational_list, default=None,
                    help="explicit comma-separated zero masses in (0,1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_extremal)
@@ -506,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--member", type=int, default=0,
                    help="target member for coalesce/reduce (companion is the "
                         "max of the others)")
-    p.add_argument("--lo", required=True,
+    p.add_argument("--lo", type=_rational_arg, required=True,
                    help="interval start (closed for coalesce/down, open for reduce)")
-    p.add_argument("--hi", required=True,
+    p.add_argument("--hi", type=_rational_arg, required=True,
                    help="interval end (closed for coalesce/down, open for reduce)")
     p.add_argument("--tol", type=_positive_rational, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
@@ -520,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extremal-n", type=int, default=None,
                    help="sweep the tightening delta of the equal-target extremal family")
     p.add_argument("--equal", type=_positive_rational, default=None)
-    p.add_argument("--points", default=None, help="comma-separated parameter values")
+    p.add_argument("--points", type=_rational_list, default=None,
+                   help="comma-separated parameter values")
     p.add_argument("--from", dest="start", type=_rational_arg, default=None)
     p.add_argument("--to", dest="stop", type=_rational_arg, default=None)
     p.add_argument("--steps", type=_positive_int, default=None)
@@ -538,7 +535,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssemblyParseError, FileNotFoundError) as exc:
+    except (AssemblyParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, ResourceCapExceeded) as exc:

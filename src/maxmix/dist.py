@@ -174,13 +174,32 @@ class IntegerForm(NamedTuple):
 
 
 class Frozen:
-    """Refuses attribute assignment and deletion, like a frozen record.
+    """A value type: frozen, and equal, hashed and shown by its ``_fields``.
 
-    Constructors set their fields with ``object.__setattr__``;
-    `cached_property` writes to the instance ``__dict__`` and is unaffected.
+    Assignment and deletion are refused, like a frozen record.  Constructors
+    set their fields with ``object.__setattr__``; `cached_property` writes to
+    the instance ``__dict__`` and is unaffected.  An instance equals only an
+    instance of its own class with equal fields, and hashes as the tuple of
+    its fields.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -206,6 +225,7 @@ class FiniteDistribution(Frozen):
     """
 
     form: IntegerForm
+    _fields = ("form",)
 
     def __init__(self, atoms: Iterable):
         atoms = tuple((as_rational(v), as_rational(m)) for v, m in atoms)
@@ -315,14 +335,6 @@ class FiniteDistribution(Frozen):
     def to_step(self) -> "SurvivalStep":
         return SurvivalStep(self.values, self._cum)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.form == other.form
-
-    def __hash__(self):
-        return hash((self.form,))
-
     def __repr__(self):
         inner = ", ".join(f"{fraction_str(v)}:{fraction_str(m)}" for v, m in self.atoms)
         return f"FiniteDistribution({{{inner}}})"
@@ -338,6 +350,7 @@ class SurvivalStep(Frozen):
 
     breakpoints: tuple[Fraction, ...]
     plateaus: tuple[Fraction, ...]
+    _fields = ("breakpoints", "plateaus")
 
     def __init__(self, breakpoints: Iterable[Fraction], plateaus: Iterable[Fraction]):
         breakpoints, plateaus = tuple(breakpoints), tuple(plateaus)
@@ -356,17 +369,6 @@ class SurvivalStep(Frozen):
             raise PreconditionError("final plateau must equal 1")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "plateaus", plateaus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.breakpoints, self.plateaus) == (other.breakpoints, other.plateaus)
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.plateaus))
-
-    def __repr__(self):
-        return f"SurvivalStep(breakpoints={self.breakpoints!r}, plateaus={self.plateaus!r})"
 
     def value_at(self, x: Fraction) -> Fraction:
         i = bisect.bisect_right(self.breakpoints, x)
@@ -420,6 +422,7 @@ class CdfTable(Frozen):
     xs: tuple[int, ...]
     product: tuple[tuple[int, ...], int]
     mixture: tuple[tuple[int, ...], int]
+    _fields = ("scale", "xs", "product", "mixture")
 
     def __init__(self, scale: int, xs: tuple[int, ...],
                  product: tuple[tuple[int, ...], int], mixture: tuple[tuple[int, ...], int]):
@@ -427,21 +430,6 @@ class CdfTable(Frozen):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "product", product)
         object.__setattr__(self, "mixture", mixture)
-
-    def _key(self):
-        return self.scale, self.xs, self.product, self.mixture
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"CdfTable(scale={self.scale!r}, xs={self.xs!r}, "
-                f"product={self.product!r}, mixture={self.mixture!r})")
 
     @classmethod
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
@@ -505,6 +493,7 @@ class Assembly(Frozen):
     """
 
     members: tuple[FiniteDistribution, ...]
+    _fields = ("members",)
 
     def __init__(self, members: Iterable[FiniteDistribution]):
         members = tuple(members)
@@ -514,14 +503,6 @@ class Assembly(Frozen):
             if not isinstance(d, FiniteDistribution):
                 raise TypeError(f"assembly members must be FiniteDistribution, got {d!r}")
         object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash((self.members,))
 
     @classmethod
     def of_copies(cls, d: FiniteDistribution, n: int) -> "Assembly":

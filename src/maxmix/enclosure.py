@@ -42,6 +42,7 @@ class Enclosure(Frozen):
 
     lo: Fraction
     hi: Fraction
+    _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
@@ -50,14 +51,6 @@ class Enclosure(Frozen):
             raise PreconditionError(f"empty enclosure: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     @classmethod
     def exact(cls, x: Fraction) -> "Enclosure":

@@ -22,9 +22,10 @@ certificate raises InvariantViolation rather than returning quietly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Literal, NamedTuple
 
-from .dist import Assembly, FiniteDistribution, as_rational
+from .dist import Assembly, FiniteDistribution, _check_copy_count, as_rational
 from .enclosure import DEFAULT_TOL, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
@@ -61,8 +62,24 @@ class TransformOutcome(NamedTuple):
     alphas: tuple[Fraction | None, ...] | None = None
 
 
-def _pair_expectation(d: FiniteDistribution, companion: FiniteDistribution) -> Fraction:
-    return Assembly((d, companion)).expected_max()
+def _copy_weights(d: FiniteDistribution, n: int) -> list[int]:
+    """Each atom's share of the n-copy max, F(v)**n - F(v-)**n, times den**n.
+
+    The shared denominator ``d.form.den**n`` cancels in every ratio the
+    transforms take, so the weights stay integers.
+    """
+    powers = [c**n for c in accumulate(d.form.masses)]
+    return [b - a for a, b in zip((0, *powers), powers)]
+
+
+def _payoff_delta(d: FiniteDistribution, result: FiniteDistribution,
+                  companion: FiniteDistribution, n: int, op: str) -> Fraction:
+    """Check that the n-copy mean is unmoved; return E[result v Y] - E[d v Y]."""
+    residual = result.similar_max_mean(n) - d.similar_max_mean(n)
+    if residual != 0:
+        raise InvariantViolation(f"similar mean moved by {residual} in {op}")
+    return (Assembly((result, companion)).expected_max()
+            - Assembly((d, companion)).expected_max())
 
 
 def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
@@ -84,24 +101,19 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
     b = as_rational(b)
     if not 0 <= a <= b:
         raise PreconditionError(f"need 0 <= a <= b, got [{a}, {b}]")
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"copy count must be an integer >= 1, got {n!r}")
+    n = _check_copy_count(n)
     inside_mass = companion.cdf(b, "left") - companion.cdf(a)
     if inside_mass > 0:
         raise PreconditionError(
             f"companion has mass {inside_mass} in ({a}, {b})"
         )
-    inside = [(v, m) for v, m in d.atoms if a <= v <= b]
-    p = sum((m for _, m in inside), _ZERO)
-    if p == 0:
+    inside = [(v, m, w) for (v, m), w in zip(d.atoms, _copy_weights(d, n))
+              if a <= v <= b]
+    if not inside:
         raise PreconditionError(f"distribution has no mass in [{a}, {b}]")
-
-    denom = d.cdf(b) ** n - d.cdf(a, "left") ** n
-    contrib = sum(
-        (v * (d.cdf(v) ** n - d.cdf(v, "left") ** n) for v, _ in inside), _ZERO
-    )
-    x = contrib / denom
-    cond_mean = sum((v * m for v, m in inside), _ZERO) / p
+    p = sum((m for _, m, _ in inside), _ZERO)
+    x = sum(v * w for v, _, w in inside) / sum(w for _, _, w in inside)
+    cond_mean = sum((v * m for v, m, _ in inside), _ZERO) / p
     if not (a <= x <= b) or x < cond_mean:
         raise InvariantViolation(
             f"coalesced atom {x} escaped [{a}, {b}] or fell below the "
@@ -111,17 +123,14 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
     outside = [(v, m) for v, m in d.atoms if v < a or v > b]
     result = FiniteDistribution.from_pairs(outside + [(x, p)])
 
-    residual = result.similar_max_mean(n) - d.similar_max_mean(n)
-    if residual != 0:
-        raise InvariantViolation(f"similar mean moved by {residual} in coalesce")
-    e_delta = _pair_expectation(result, companion) - _pair_expectation(d, companion)
+    e_delta = _payoff_delta(d, result, companion, n, "coalesce")
     certificate = p * companion.cdf(a) * (x - cond_mean)
     if e_delta != certificate or e_delta < 0:
         raise InvariantViolation(
             f"coalesce payoff certificate failed: delta {e_delta}, "
             f"closed form {certificate}"
         )
-    return TransformOutcome(result, residual, e_delta, _direction_of(e_delta))
+    return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
 
 
 def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
@@ -152,22 +161,15 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     r = as_rational(r)
     if not 0 <= l < r:
         raise PreconditionError(f"need 0 <= l < r, got ({l}, {r})")
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"copy count must be an integer >= 1, got {n!r}")
-    inside = [(v, m) for v, m in d.atoms if l < v < r]
+    n = _check_copy_count(n)
+    inside = [(v, m, w) for (v, m), w in zip(d.atoms, _copy_weights(d, n))
+              if l < v < r]
     if len(inside) != 2:
         raise PreconditionError(
             f"mass in ({l}, {r}) must sit on exactly two atoms, found {len(inside)}"
         )
-    (av, p), (bv, q) = inside
-
-    f_l = d.cdf(l)
-    f_a = d.cdf(av)
-    f_b = d.cdf(bv)
-    denom = f_b**n - f_a**n
-    if denom == 0:
-        raise InvariantViolation("flat CDF across an atom of positive mass")
-    lam = (f_a**n - f_l**n) / denom
+    (av, p, w_a), (bv, q, w_b) = inside
+    lam = Fraction(w_a, w_b)
 
     g = companion.cdf
     slope_a = p * g(av) - q * lam * g(bv, "left")
@@ -178,8 +180,7 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
         partner = bv - lam * (u - av)
         moved = [(u, p), (partner, q)]
     else:
-        w_a = f_a**n - f_l**n
-        omega = (av * w_a + bv * denom) / (w_a + denom)
+        omega = (av * w_a + bv * w_b) / (w_a + w_b)
         if slope_a == 0 and g(av) > 0:
             # the payoff slope must have turned strictly positive at the
             # merge point whenever the companion has mass strictly between
@@ -200,13 +201,10 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
         raise InvariantViolation(
             f"{len(strictly_inside)} atoms remain strictly inside ({l}, {r})"
         )
-    residual = result.similar_max_mean(n) - d.similar_max_mean(n)
-    if residual != 0:
-        raise InvariantViolation(f"similar mean moved by {residual} in reduce_pair")
-    e_delta = _pair_expectation(result, companion) - _pair_expectation(d, companion)
+    e_delta = _payoff_delta(d, result, companion, n, "reduce_pair")
     if e_delta < 0:
         raise InvariantViolation(f"reduce_pair decreased the payoff by {-e_delta}")
-    return TransformOutcome(result, residual, e_delta, _direction_of(e_delta))
+    return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
 
 
 def phi(u, v, p, n: int) -> Fraction:
@@ -225,8 +223,7 @@ def phi(u, v, p, n: int) -> Fraction:
         raise PreconditionError(f"p must lie in [0, 1], got {p}")
     if v > u:
         raise PreconditionError(f"payoff curve needs v <= u, got v={v} > u={u}")
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"copy count must be an integer >= 1, got {n!r}")
+    n = _check_copy_count(n)
     if p == 1:
         return u + v / n
     return u * p + v * (1 - p) / (1 - p**n)
@@ -239,13 +236,14 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
     at hi, with alpha_i chosen so the member's n-copy mean is unchanged:
 
         alpha_i = (F_i(hi) * t_i**(1/n) - F_i(lo-)) / p_i,
-        t_i = 1 - E[clipped n-copy max | <= hi - lo] / (hi - lo),
+        t_i = 1 - sum_{lo<v<=hi} (v - lo) * w_v / ((hi - lo) * sum_{v<=hi} w_v),
 
-    where the clipped variable is (X_i - lo)+.  t_i**(1/n) is irrational in
-    general; the enclosure midpoint is used and the exact per-member mean
-    residual is reported rather than hidden.  The assembly expected max
-    never increases beyond the same rounding slack.  Members without mass
-    in the interval pass through untouched (their alpha is None).
+    where w_v = F_i(v)**n - F_i(v-)**n is the n-copy weight of the atom at v.
+    t_i**(1/n) is irrational in general; the enclosure midpoint is used and
+    the exact per-member mean residual is reported rather than hidden.  The
+    assembly expected max never increases beyond the same rounding slack.
+    Members without mass in the interval pass through untouched (their
+    alpha is None).
     """
     lo = as_rational(lo)
     hi = as_rational(hi)
@@ -272,15 +270,9 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
             alphas.append(None)
             continue
 
-        clipped = FiniteDistribution.from_pairs(
-            (max(v - lo, _ZERO), m) for v, m in d.atoms
-        )
-        inside_weight = sum(
-            (w * (clipped.cdf(w) ** n - clipped.cdf(w, "left") ** n)
-             for w in clipped.values if 0 < w <= span),
-            _ZERO,
-        )
-        t = 1 - inside_weight / (span * f_hi**n)
+        below = [(v, w) for v, w in zip(d.values, _copy_weights(d, n)) if v <= hi]
+        inside_weight = sum(((v - lo) * w for v, w in below if v > lo), _ZERO)
+        t = 1 - inside_weight / (span * sum(w for _, w in below))
         root = nth_root(t, n, root_tol)
         alpha_enc = root.scaled(f_hi) - f_lo_left
         alpha = alpha_enc.midpoint / p_int

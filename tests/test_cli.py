@@ -347,15 +347,16 @@ class TestSweep:
         assert code == EXIT_PRECONDITION
 
 
+def _run_quietly(argv):
+    """The exit code and stderr; an escaping exception fails the test instead."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestNegativeFractionArguments:
     """``--opt -1/2`` reads as a value, exactly as ``--opt=-1/2`` does."""
-
-    @staticmethod
-    def _run(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-        return code, err.getvalue()
 
     @pytest.mark.parametrize("command,option,other", [
         ("verify", "--bound", []),
@@ -372,10 +373,53 @@ class TestNegativeFractionArguments:
         else:
             path.write_text(EXAMPLE)
             head = [command, str(path)] + (["--op", "down"] if command == "transform" else [])
-        spaced = self._run(head + other + [option, "-1/2"])
-        joined = self._run(head + other + [f"{option}=-1/2"])
+        spaced = _run_quietly(head + other + [option, "-1/2"])
+        joined = _run_quietly(head + other + [f"{option}=-1/2"])
         assert spaced == joined
         assert "expected one argument" not in spaced[1]
+
+
+class TestBadArguments:
+    """A bad rational or an unreadable path is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["transform", "{file}", "--op", "down", "--lo", "x", "--hi", "1"], "--lo"),
+        (["transform", "{file}", "--op", "down", "--lo", "0", "--hi", "1/0"], "--hi"),
+        (["extremal", "--n", "2", "--m-list", "1,x", "--epsilon", "1/10"], "--m-list"),
+        (["extremal", "--n", "2", "--m-list", "1/0,1", "--epsilon", "1/10"], "--m-list"),
+        (["extremal", "--n", "3", "--equal", "1", "--epsilon", "1/10",
+          "--p-schedule", "1/2,x"], "--p-schedule"),
+        (["sweep", "--extremal-n", "2", "--equal", "1", "--points", "x",
+          "--out", "{dir}/o.csv"], "--points"),
+    ])
+    def test_bad_rational_names_the_option(self, example_file, argv, option):
+        argv = [a.format(file=example_file, dir=example_file.parent) for a in argv]
+        code, err = _run_quietly(argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: argument {option}: not an exact rational")
+
+    def test_comma_lists_are_read_exactly(self, tmp_path):
+        out = tmp_path / "ext.txt"
+        code, _ = _run_quietly(["extremal", "--n", "3", "--m-list", "1, 1,1.0",
+                                "--epsilon", "1", "--p-schedule", "1/2,0.75",
+                                "--out", str(out)])
+        assert code == EXIT_OK
+        a = parse_assembly_text(out.read_text()).assembly
+        assert a.similar_means() == (F(1),) * 3
+        assert [d.cdf(0) for d in a.members] == [F(1, 2), F(3, 4), F(0)]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{dir}"],
+        ["verify", "{dir}/latin1.txt"],
+        ["transform", "{file}", "--op", "down", "--lo", "0", "--hi", "1", "--out", "{dir}"],
+        ["sweep", "--extremal-n", "2", "--equal", "1", "--points", "1/10", "--out", "{dir}"],
+    ])
+    def test_file_errors_are_usage_errors(self, example_file, argv):
+        (example_file.parent / "latin1.txt").write_bytes("name: caf\xe9\n".encode("latin-1"))
+        argv = [a.format(file=example_file, dir=example_file.parent) for a in argv]
+        code, err = _run_quietly(argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ from maxmix import (
     holder_lower,
     phi,
     reduce_pair,
+    transforms,
 )
+from maxmix.transforms import _copy_weights
 
 from genutil import (
     random_coalesce_case,
+    random_distribution,
     random_down_case,
     random_reduce_case,
     random_two_point_assembly,
@@ -167,6 +170,10 @@ class TestPhi:
         with pytest.raises(PreconditionError):
             phi(1, 2, F(1, 2), 2)
 
+    def test_rejects_a_boolean_copy_count(self):
+        with pytest.raises(PreconditionError, match="copy count"):
+            phi(2, 1, F(1, 2), True)
+
 
 class TestDownProject:
     def test_two_point_members_are_a_fixed_point(self):
@@ -226,3 +233,86 @@ class TestDownProject:
             assert out.e_delta <= tol
             for m in out.result.members:
                 assert not any(lo < v < hi for v in m.values)
+
+
+# ---------------------------------------------------------------------------
+# the n-copy weights against the CDF formulas they replace
+
+
+def weight(d, v, n):
+    """F(v)**n - F(v-)**n by CDF bisection."""
+    return d.cdf(v) ** n - d.cdf(v, "left") ** n
+
+
+def reference_x(d, a, b, n):
+    """The coalesced atom as the CDF formula writes it."""
+    contrib = sum((v * weight(d, v, n) for v in d.values if a <= v <= b), F(0))
+    return contrib / (d.cdf(b) ** n - d.cdf(a, "left") ** n)
+
+
+def reference_reduce(d, l, r, companion, n):
+    """The reduced distribution, with lam and omega from the CDF formulas."""
+    (av, p), (bv, q) = [(v, m) for v, m in d.atoms if l < v < r]
+    f_l, f_a, f_b = d.cdf(l), d.cdf(av), d.cdf(bv)
+    lam = (f_a**n - f_l**n) / (f_b**n - f_a**n)
+    g = companion.cdf
+    if p * g(av) - q * lam * g(bv, "left") < 0:
+        nxt = min((v for v in d.values if v > bv), default=None)
+        u = l if nxt is None else max(l, av - (nxt - bv) / lam)
+        moved = [(u, p), (bv - lam * (u - av), q)]
+    else:
+        w_a, w_b = f_a**n - f_l**n, f_b**n - f_a**n
+        moved = [((av * w_a + bv * w_b) / (w_a + w_b), p + q)]
+    outside = [(v, m) for v, m in d.atoms if not l < v < r]
+    return FiniteDistribution.from_pairs(outside + moved)
+
+
+def reference_t(d, lo, hi, n):
+    """The root argument of `down_project` through the clipped member (X - lo)+."""
+    span = hi - lo
+    clipped = FiniteDistribution.from_pairs((max(v - lo, F(0)), m) for v, m in d.atoms)
+    inside = sum((w * weight(clipped, w, n) for w in clipped.values if 0 < w <= span), F(0))
+    return 1 - inside / (span * d.cdf(hi) ** n)
+
+
+class TestCopyWeights:
+    def test_weights_are_the_n_copy_max_masses(self):
+        rng = random.Random(36)
+        for _ in range(60):
+            d = random_distribution(rng)
+            n = rng.randint(1, 5)
+            top = Assembly.of_copies(d, n).max_distribution()
+            den = d.form.den**n
+            assert top.values == d.values
+            assert tuple(F(w, den) for w in _copy_weights(d, n)) == top.masses
+
+    def test_coalesce_matches_the_cdf_formula(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            d, a, b, companion, n = random_coalesce_case(rng)
+            out = coalesce(d, a, b, companion, n)
+            assert [v for v in out.result.values if a <= v <= b] == [reference_x(d, a, b, n)]
+
+    def test_reduce_pair_matches_the_cdf_formulas(self):
+        rng = random.Random(32)
+        for _ in range(150):
+            d, l, r, companion, n = random_reduce_case(rng)
+            out = reduce_pair(d, l, r, companion, n)
+            assert out.result == reference_reduce(d, l, r, companion, n)
+
+    def test_down_project_roots_the_cdf_formula(self, monkeypatch):
+        roots = []
+        real_root = transforms.nth_root
+
+        def recording_root(x, n, tol):
+            roots.append(x)
+            return real_root(x, n, tol)
+
+        monkeypatch.setattr(transforms, "nth_root", recording_root)
+        rng = random.Random(35)
+        for _ in range(60):
+            a, lo, hi = random_down_case(rng)
+            roots.clear()
+            down_project(a, lo, hi, tol=F(1, 10**9))
+            touched = [d for d in a.members if d.cdf(hi) > d.cdf(lo, "left")]
+            assert roots == [reference_t(d, lo, hi, a.n) for d in touched]
