@@ -12,7 +12,6 @@ from .bounds import (
     BoundReport,
     ChainChecks,
     GamGapReport,
-    default_bound,
     equality_diagnosis,
     full_report,
     gam_gap,
@@ -63,7 +62,6 @@ __all__ = [
     "as_rational",
     "build",
     "coalesce",
-    "default_bound",
     "discretize",
     "down_project",
     "enumerate_expected_max",

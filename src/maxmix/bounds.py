@@ -85,11 +85,6 @@ def mixture_dominance_check(a: Assembly) -> bool:
     return all(p * mix_den_n <= m**n * prod_den for p, m in zip(prod_nums, mix_nums))
 
 
-def default_bound(a: Assembly) -> Fraction:
-    """The tightest natural common upper bound: the largest support point."""
-    return a.support_max
-
-
 def holder_lower(m_list, b, n: int, tol=DEFAULT_TOL) -> Enclosure:
     """Bounded-support lower bound  b - (prod_i (b - M_i))**(1/n).
 

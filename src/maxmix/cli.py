@@ -15,7 +15,8 @@ string limit (4300 digits by default).  Rendering is canonical, so
 parse(render(doc)) == doc for every valid document.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 precondition
-violation (including skipped sweep points), 3 internal invariant breach.
+violation or size cap (including skipped sweep points), 3 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .dist import (
     Assembly,
     FiniteDistribution,
     as_rational,
+    check_cap,
     clip,
     fraction_str,
 )
@@ -182,8 +184,16 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
     return doc
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes are a parse error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AssemblyParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def parse_assembly_file(path) -> AssemblyDocument:
-    return parse_assembly_text(Path(path).read_text(encoding="utf-8"))
+    return parse_assembly_text(_read_text(path))
 
 
 def render_assembly(doc: AssemblyDocument) -> str:
@@ -273,6 +283,7 @@ def cmd_verify(args) -> int:
 def cmd_extremal(args) -> int:
     if (args.equal is None) == (args.m_list is None):
         raise _UsageError("give exactly one of --equal or --m-list")
+    check_cap(args.n, "--n")
     if args.equal is not None:
         m_list = (args.equal,) * args.n
     else:
@@ -346,6 +357,7 @@ def _sweep_points(args) -> list[Fraction]:
         return list(args.points)
     if args.start is None or args.stop is None or args.steps is None:
         raise _UsageError("give --points or all of --from/--to/--steps")
+    check_cap(args.steps, "--steps")
     if args.steps == 1:
         return [args.start]
     step = (args.stop - args.start) / (args.steps - 1)
@@ -354,14 +366,13 @@ def _sweep_points(args) -> list[Fraction]:
 
 def _row_for(param: Fraction, a: Assembly) -> SweepRow:
     report = bounds.full_report(a)
-    row = SweepRow(
+    if not report.chain.all_ok:
+        raise InvariantViolation(f"sweep row violates the chain at {param}")
+    return SweepRow(
         parameter=param, m_bar=report.m_bar, mixture_e=report.mixture_e,
         exact_e=report.exact_e, upper=report.upper, theta=report.theta,
         gap=report.upper - report.exact_e,
     )
-    if not (row.m_bar <= row.mixture_e <= row.exact_e <= row.upper):
-        raise InvariantViolation(f"sweep row violates the chain at {param}")
-    return row
 
 
 def cmd_sweep(args) -> int:
@@ -374,7 +385,7 @@ def cmd_sweep(args) -> int:
     build_for: dict[Fraction, Assembly] = {}
     skipped: list[tuple[Fraction, str]] = []
     if args.template is not None:
-        text = Path(args.template).read_text(encoding="utf-8")
+        text = _read_text(args.template)
         if "$p" not in text and "$q" not in text:
             raise PreconditionError(
                 "template declares no swept parameter ($p or $q)"
@@ -390,6 +401,7 @@ def cmd_sweep(args) -> int:
         if args.equal is None:
             raise _UsageError("extremal sweeps need --equal")
         n = args.extremal_n
+        check_cap(n, "--extremal-n")
         m_list = (args.equal,) * n
         for delta in points:
             try:
@@ -532,10 +544,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AssemblyParseError, OSError, UnicodeDecodeError) as exc:
+    except (_UsageError, AssemblyParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, ResourceCapExceeded) as exc:

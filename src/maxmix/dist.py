@@ -44,7 +44,8 @@ from .errors import PreconditionError, ResourceCapExceeded
 Side = Literal["left", "right"]
 
 #: Upper bound on the number of atoms/breakpoints any single construction may
-#: produce. Discretization grids and CDF products fail loudly beyond this.
+#: produce: discretization grids, merged supports and the CLI's member and
+#: point counts.  Read at call time, so it can be lowered for a test.
 DEFAULT_ATOM_CAP = 10**6
 
 _ZERO = Fraction(0)
@@ -107,6 +108,12 @@ def clip(text: str) -> str:
 
 def _shown(x: Fraction) -> str:
     return clip(fraction_str(x))
+
+
+def check_cap(count: int, what: str) -> None:
+    """Refuse a construction of more than `DEFAULT_ATOM_CAP` points."""
+    if count > DEFAULT_ATOM_CAP:
+        raise ResourceCapExceeded(f"{what} {count} exceeds the cap {DEFAULT_ATOM_CAP}")
 
 
 def _check_copy_count(n) -> int:
@@ -306,13 +313,6 @@ class FiniteDistribution(Frozen):
             raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
         return self._cum[i - 1] if i else _ZERO
 
-    def mass_at(self, x) -> Fraction:
-        x = as_rational(x)
-        i = bisect.bisect_left(self.values, x)
-        if i < len(self.values) and self.values[i] == x:
-            return self.masses[i]
-        return _ZERO
-
     def expected_value(self) -> Fraction:
         """The mean, exactly."""
         f = self.form
@@ -375,17 +375,13 @@ class SurvivalStep(Frozen):
         return self.plateaus[i - 1] if i else _ZERO
 
     @classmethod
-    def product_of(cls, steps: Iterable["SurvivalStep"],
-                   atom_cap: int = DEFAULT_ATOM_CAP) -> "SurvivalStep":
+    def product_of(cls, steps: Iterable["SurvivalStep"]) -> "SurvivalStep":
         """Pointwise product (the CDF of the maximum of independents)."""
         steps = list(steps)
         if not steps:
             raise PreconditionError("product of zero step functions is undefined")
         merged = sorted({b for s in steps for b in s.breakpoints})
-        if len(merged) > atom_cap:
-            raise ResourceCapExceeded(
-                f"merged breakpoint count {len(merged)} exceeds cap {atom_cap}"
-            )
+        check_cap(len(merged), "merged breakpoint count")
         plateaus = []
         for x in merged:
             p = _ONE
@@ -446,6 +442,7 @@ class CdfTable(Frozen):
             r, w = scale // f.scale, common // f.den
             for x, m in zip(f.values, f.masses):
                 jumps.setdefault(x * r, []).append((i, m, w * m))
+        check_cap(len(jumps), "merged support size")
         xs = sorted(jumps)
         # the product of the non-zero member CDFs, and how many are still 0
         cdfs = [0] * len(forms)
@@ -516,11 +513,6 @@ class Assembly(Frozen):
     def table(self) -> CdfTable:
         return CdfTable.of(self.members)
 
-    @cached_property
-    def merged_support(self) -> tuple[Fraction, ...]:
-        t = self.table
-        return tuple(Fraction(x, t.scale) for x in t.xs)
-
     @property
     def support_max(self) -> Fraction:
         return max(d.support_max for d in self.members)
@@ -567,8 +559,7 @@ class Assembly(Frozen):
 CdfEvaluator = Callable[[Fraction, str], Fraction]
 
 
-def discretize(cdf: CdfEvaluator, m: int, *, atom_cap: int = DEFAULT_ATOM_CAP
-               ) -> FiniteDistribution:
+def discretize(cdf: CdfEvaluator, m: int) -> FiniteDistribution:
     """Dyadic lower discretization of an arbitrary CDF on [0, inf).
 
     The value is floored to the grid of spacing 2**-m on [0, m), and
@@ -584,10 +575,7 @@ def discretize(cdf: CdfEvaluator, m: int, *, atom_cap: int = DEFAULT_ATOM_CAP
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise PreconditionError(f"grid level m must be an integer >= 1, got {m!r}")
     cells = m * 2**m
-    if cells + 1 > atom_cap:
-        raise ResourceCapExceeded(
-            f"discretization would create {cells + 1} atoms, cap is {atom_cap}"
-        )
+    check_cap(cells + 1, "discretization atom count")
     at_zero = cdf(_ZERO, "left")
     if at_zero != 0:
         raise PreconditionError(

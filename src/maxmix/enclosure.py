@@ -97,9 +97,6 @@ class Enclosure(Frozen):
             return Enclosure(self.lo * f, self.hi * f)
         return Enclosure(self.hi * f, self.lo * f)
 
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
     def __repr__(self):
         if self.is_exact:
             return f"Enclosure({self.lo})"

@@ -133,8 +133,6 @@ def build(spec: ExtremalSpec) -> Assembly:
     1/2 and tighten geometrically toward 1 until the exact gap drops to
     ``closeness``; each candidate is checked by exact arithmetic.
     """
-    if spec.n == 1:
-        return Assembly((FiniteDistribution.point_mass(spec.m_list[0]),))
     if spec.p_schedule is not None:
         return _realize(spec.m_list, spec.p_schedule)
 

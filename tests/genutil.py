@@ -50,6 +50,11 @@ def random_assembly(rng: random.Random, n_range: tuple[int, int] = (2, 6),
     ))
 
 
+def support_grid(a: Assembly) -> tuple[Fraction, ...]:
+    """The members' merged support, in increasing order."""
+    return tuple(sorted({v for d in a.members for v in d.values}))
+
+
 def random_identical_assembly(rng: random.Random, n_range: tuple[int, int] = (2, 4),
                               ) -> Assembly:
     d = random_distribution(rng, max_atoms=5, min_atoms=2)
@@ -132,7 +137,7 @@ def random_reduce_case(rng: random.Random):
         # slope pinned to zero: mass g1 at or below a, g2 strictly inside
         f_l, f_a, f_b = d.cdf(l), d.cdf(a), d.cdf(b)
         lam = (f_a**n - f_l**n) / (f_b**n - f_a**n)
-        p, q = d.mass_at(a), d.mass_at(b)
+        p, q = f_a - d.cdf(a, "left"), f_b - d.cdf(b, "left")
         if p < q * lam:
             companion = random_distribution(rng, max_atoms=5)
         else:
@@ -150,7 +155,7 @@ def random_down_case(rng: random.Random):
     a = random_assembly(rng, n_range=(2, 4), max_atoms=5)
     while a.support_max == 0:
         a = random_assembly(rng, n_range=(2, 4), max_atoms=5)
-    grid = a.merged_support
+    grid = support_grid(a)
     if rng.random() < 0.4:
         lo, hi = Fraction(0), a.support_max
     else:

@@ -13,7 +13,6 @@ from maxmix import (
     FiniteDistribution,
     InvariantViolation,
     PreconditionError,
-    default_bound,
     equality_diagnosis,
     full_report,
     gam_gap,
@@ -190,11 +189,6 @@ class TestFullReport:
         d = dist((0, F(1, 2)), (2, F(1, 2)))
         with pytest.raises(PreconditionError):
             full_report(Assembly((d, d)), b=1)
-
-    def test_default_bound_is_the_support_max(self):
-        a = Assembly((dist((0, F(1, 2)), (2, F(1, 2))),
-                      FiniteDistribution.point_mass(F(7, 2))))
-        assert default_bound(a) == F(7, 2)
 
     def test_theta_at_most_sup_on_random_assemblies(self):
         rng = random.Random(24)

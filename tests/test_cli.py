@@ -421,6 +421,43 @@ class TestBadArguments:
         assert code == EXIT_USAGE
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{path}"],
+        ["sweep", "--template", "{path}", "--points", "1/2", "--out", "{dir}/o.csv"],
+    ])
+    def test_non_utf8_file_is_named(self, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("member: 0:1 # caf\xe9\n".encode("latin-1"))
+        code, err = _run_quietly([a.format(path=path, dir=tmp_path) for a in argv])
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+class TestSizeCaps:
+    """A merged support or a count above the atom cap exits 2, before allocating."""
+
+    def test_merged_support_above_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("maxmix.dist.DEFAULT_ATOM_CAP", 3)
+        path = tmp_path / "four.txt"
+        path.write_text("member: 0:1/2 1:1/2\nmember: 2:1/2 3:1/2\n")
+        code, err = _run_quietly(["verify", str(path)])
+        assert code == EXIT_PRECONDITION
+        assert err == "error: merged support size 4 exceeds the cap 3\n"
+
+    @pytest.mark.parametrize("argv, option", [
+        (["extremal", "--n", "11", "--equal", "1", "--epsilon", "1/10"], "--n"),
+        (["sweep", "--extremal-n", "11", "--equal", "1", "--points", "1/10",
+          "--out", "{dir}/o.csv"], "--extremal-n"),
+        (["sweep", "--template", "{dir}/t.txt", "--from", "0", "--to", "1",
+          "--steps", "11", "--out", "{dir}/o.csv"], "--steps"),
+    ])
+    def test_counts_above_the_cap(self, tmp_path, monkeypatch, argv, option):
+        monkeypatch.setattr("maxmix.dist.DEFAULT_ATOM_CAP", 10)
+        (tmp_path / "t.txt").write_text("n: 1\nmember: 0:$p 1:$q\n")
+        code, err = _run_quietly([a.format(dir=tmp_path) for a in argv])
+        assert code == EXIT_PRECONDITION
+        assert err == f"error: {option} 11 exceeds the cap 10\n"
+
 
 # ---------------------------------------------------------------------------
 # every valid document verifies

@@ -16,7 +16,7 @@ from maxmix import (
     discretize,
 )
 
-from genutil import random_assembly, random_distribution
+from genutil import random_assembly, random_distribution, support_grid
 
 
 def dist(*pairs):
@@ -97,7 +97,7 @@ class TestCdf:
     @given(distributions(), st.integers(0, 30))
     def test_left_right_gap_is_the_atom_mass(self, d, k):
         x = F(k, 4)
-        assert d.cdf(x) - d.cdf(x, "left") == d.mass_at(x)
+        assert d.cdf(x) - d.cdf(x, "left") == dict(d.atoms).get(x, 0)
         assert d.cdf(x) >= d.cdf(x, "left")
 
 
@@ -225,8 +225,9 @@ class TestDiscretize:
                 assert approx.cdf(v) >= d.cdf(v)
 
     def test_cap_is_enforced(self):
+        # 20 * 2**20 cells, refused before any CDF call
         with pytest.raises(ResourceCapExceeded):
-            discretize(uniform01, 5, atom_cap=10)
+            discretize(uniform01, 20)
 
     def test_rejects_mass_below_zero(self):
         def shifted(x, side="right"):
@@ -247,7 +248,7 @@ class TestSurvivalStep:
         for _ in range(20):
             a = random_assembly(rng, n_range=(2, 4))
             step = a.product_step()
-            for x in a.merged_support:
+            for x in support_grid(a):
                 expect = F(1)
                 for d in a.members:
                     expect *= d.cdf(x)

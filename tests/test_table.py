@@ -27,7 +27,7 @@ from maxmix import (
 )
 from maxmix.cli import parse_assembly_text
 
-from genutil import random_assembly
+from genutil import random_assembly, support_grid
 
 values = st.one_of(
     st.just(F(0)),
@@ -93,10 +93,11 @@ def _check_rows(a):
     t = a.table
     prod_nums, prod_den = t.product
     mix_nums, mix_den = t.mixture
-    assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
+    grid = support_grid(a)
+    assert tuple(F(x, t.scale) for x in t.xs) == grid
     assert t.scale == math.lcm(*(d.form.scale for d in a.members))
     assert len(prod_nums) == len(mix_nums) == len(t.xs)
-    for k, x in enumerate(a.merged_support):
+    for k, x in enumerate(grid):
         cdfs = [d.cdf(x) for d in a.members]
         assert F(prod_nums[k], prod_den) == math.prod(cdfs)
         assert F(mix_nums[k], mix_den) == sum(cdfs) / a.n
@@ -125,7 +126,8 @@ def test_integer_forms_match_the_atoms(a):
         unreduced = [((3 * x, 3 * f.scale), (2 * m, 2 * f.den))
                      for x, m in zip(f.values, f.masses)]
         assert FiniteDistribution.from_ratios(reversed(unreduced)).form == f
-    assert a.merged_support == tuple(sorted({v for d in a.members for v in d.values}))
+    t = a.table
+    assert tuple(F(x, t.scale) for x in t.xs) == support_grid(a)
     # each member's one-member table, read as a step function, gives its
     # CDF at every merged point (the rows test covers the merged tables)
     for d in a.members:
@@ -133,7 +135,7 @@ def test_integer_forms_match_the_atoms(a):
         nums, den = t.product
         assert t.mixture == t.product
         own = [F(x, t.scale) for x in t.xs]
-        for x in a.merged_support:
+        for x in support_grid(a):
             k = bisect.bisect_right(own, x)
             assert (F(nums[k - 1], den) if k else 0) == d.cdf(x)
 
