@@ -1,6 +1,6 @@
 """Exact finite discrete distributions on the non-negative rationals.
 
-Every value, mass, CDF value and survival integral in this module is an
+Every value, mass, CDF value and expectation in this module is an
 exact `fractions.Fraction`, or an integer over an explicit integer
 denominator inside `CdfTable`.  That discipline is what lets the rest of the
 package check its inequality chains with zero tolerance rather than
@@ -20,10 +20,13 @@ Core types:
   family.
 * `CdfTable`: two integer rows over the members' merged support, the CDF
   of their maximum and the CDF of their mixture, built in one sweep over the
-  members' jumps.  Every exact quantity of the bound chain (similar means,
-  the expected maximum, the mixture bound) is a survival integral of a step
-  CDF on that grid, computed as one integer sum with a single division at
-  the end.
+  members' jumps.
+* `jump_weights`: the one n-copy formula.  Every exact quantity of the bound
+  chain is the expected maximum of n copies of a step CDF given as a
+  cumulative integer row ``c`` over ``den``: ``sum_k x_k * (c_k**n -
+  c_{k-1}**n) / (scale * den**n)``.  A similar mean takes a member's own
+  row, the mixture bound the mixture row and the expected maximum the
+  product row with n = 1: jump sums, one division.
 * `SurvivalStep`: a piecewise-constant right-continuous CDF, the carrier
   for the distribution of a maximum as a product of step CDFs.
 """
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, Literal, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple
 
 from .errors import PreconditionError, ResourceCapExceeded
 
@@ -114,6 +117,20 @@ def check_cap(count: int, what: str) -> None:
     """Refuse a construction of more than `DEFAULT_ATOM_CAP` points."""
     if count > DEFAULT_ATOM_CAP:
         raise ResourceCapExceeded(f"{what} {count} exceeds the cap {DEFAULT_ATOM_CAP}")
+
+
+def jump_weights(cum: Iterable[int], n: int) -> Iterator[int]:
+    """Yield ``c_k**n - c_{k-1}**n`` for a cumulative row ``c``, with ``c_{-1} = 0``.
+
+    Over ``den**n`` these are the atom masses of the maximum of n copies of
+    the step CDF ``c / den``.  A generator, so only two powers are held at a
+    time however long the row.
+    """
+    prev = 0
+    for c in cum:
+        p = c**n
+        yield p - prev
+        prev = p
 
 
 def _check_copy_count(n) -> int:
@@ -318,19 +335,23 @@ class FiniteDistribution(Frozen):
         f = self.form
         return Fraction(sum(map(mul, f.values, f.masses)), f.scale * f.den)
 
-    @cached_property
-    def _table(self) -> "CdfTable":
-        return CdfTable.of((self,))
+    def copy_weights(self, n: int) -> Iterator[int]:
+        """Each atom's share of the n-copy max, F(v)**n - F(v-)**n, times den**n.
+
+        An iterator over the atoms in value order.  The shared denominator
+        ``form.den**n`` cancels in every ratio the transforms take, so the
+        weights stay integers.
+        """
+        return jump_weights(accumulate(self.form.masses), _check_copy_count(n))
 
     def similar_max_mean(self, n: int) -> Fraction:
         """Expected maximum of n independent copies, exactly.
 
-        Computed as the survival integral of F**n over the distribution's own
-        atoms; equals ``Assembly.of_copies(self, n).expected_max()``.
+        The jump sum of F**n over the distribution's own atoms, one division;
+        equals ``Assembly.of_copies(self, n).expected_max()``.
         """
-        n = _check_copy_count(n)
-        t = self._table
-        return t.power_survival(*t.product, n)
+        f = self.form
+        return Fraction(sum(map(mul, f.values, self.copy_weights(n))), f.scale * f.den**n)
 
     def to_step(self) -> "SurvivalStep":
         return SurvivalStep(self.values, self._cum)
@@ -410,8 +431,7 @@ class CdfTable(Frozen):
     ``product`` gives prod_i F_i(xs[k]) as ``nums[k]`` over the product of
     the members' mass denominators, and ``mixture`` gives mean_i F_i(xs[k])
     over n times their lcm.  Between merged points both CDFs are constant,
-    so each survival integral is one integer sum over the grid with one
-    division at the end.
+    so `mean` reads every expectation from a row as jump sums, one division.
     """
 
     scale: int
@@ -431,10 +451,6 @@ class CdfTable(Frozen):
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
         """Both rows in one sweep over the members' jumps, in integers."""
         forms = [d.form for d in members]
-        if len(forms) == 1:
-            f, = forms
-            row = (tuple(accumulate(f.masses)), f.den)
-            return cls(f.scale, f.values, row, row)
         scale = math.lcm(*(f.scale for f in forms))
         common = math.lcm(*(f.den for f in forms))
         jumps: dict[int, list[tuple[int, int, int]]] = {}
@@ -464,21 +480,13 @@ class CdfTable(Frozen):
                    (tuple(prod_nums), math.prod(f.den for f in forms)),
                    (tuple(mix_nums), len(forms) * common))
 
-    @cached_property
-    def _widths(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.xs, self.xs[1:]))
+    def mean(self, row: tuple[tuple[int, ...], int], n: int = 1) -> Fraction:
+        """E of the maximum of n copies of the row's CDF: a jump sum, one division.
 
-    def survival(self, nums, den: int) -> Fraction:
-        """The integral of 1 - nums[k]/den over [xs[k], xs[k+1]) and of 1 below xs[0].
-
-        ``nums[-1]`` must equal ``den``: the CDF reaches 1 at the last point.
+        ``row`` is ``(nums, den)`` and must reach ``den`` at the last point.
         """
-        total = self.xs[-1] * den - sum(map(mul, self._widths, nums))
-        return Fraction(total, den * self.scale)
-
-    def power_survival(self, nums, den: int, n: int) -> Fraction:
-        """The survival integral of the CDF nums/den raised to the n-th power."""
-        return self.survival((x**n for x in nums), den**n)
+        nums, den = row
+        return Fraction(sum(map(mul, self.xs, jump_weights(nums, n))), self.scale * den**n)
 
 
 class Assembly(Frozen):
@@ -521,21 +529,16 @@ class Assembly(Frozen):
         return SurvivalStep.product_of(d.to_step() for d in self.members)
 
     def expected_max(self) -> Fraction:
-        """E of the maximum of the members, exactly.
-
-        Survival integral of the product CDF over the merged support; the
-        integrand is piecewise constant between merged atoms and zero past
-        the largest one.
-        """
+        """E of the maximum of the members, exactly: the product row's jump sum."""
         t = self.table
-        return t.survival(*t.product)
+        return t.mean(t.product)
 
     def max_distribution(self) -> FiniteDistribution:
         """The distribution of the maximum of the members: the product row's jumps."""
         t = self.table
         nums, den = t.product
         return FiniteDistribution.from_ratios(
-            ((x, t.scale), (b - a, den)) for x, a, b in zip(t.xs, (0, *nums), nums))
+            ((x, t.scale), (w, den)) for x, w in zip(t.xs, jump_weights(nums, 1)))
 
     def mixture(self) -> FiniteDistribution:
         """The equally-weighted probability mixture of the members."""
@@ -574,6 +577,10 @@ def discretize(cdf: CdfEvaluator, m: int) -> FiniteDistribution:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise PreconditionError(f"grid level m must be an integer >= 1, got {m!r}")
+    if m >= DEFAULT_ATOM_CAP.bit_length():  # 2**m alone exceeds the cap
+        raise ResourceCapExceeded(
+            f"grid level m = {clip(_int_str(m))} needs m * 2**m + 1 atoms, "
+            f"over the cap {DEFAULT_ATOM_CAP}")
     cells = m * 2**m
     check_cap(cells + 1, "discretization atom count")
     at_zero = cdf(_ZERO, "left")

@@ -1,7 +1,7 @@
 """Independent ground truth: exhaustive enumeration and seeded Monte Carlo.
 
 `enumerate_expected_max` walks the full product space of member supports and
-must agree with the survival-integral path exactly; the two computations
+must agree with the jump-sum path exactly; the two computations
 share no code beyond the distribution type, which is what makes the check
 worth running.  `mc_expected_max` is a reproducible sampling estimate for
 eyeballing and cross-language comparison.

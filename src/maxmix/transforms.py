@@ -22,7 +22,6 @@ certificate raises InvariantViolation rather than returning quietly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Literal, NamedTuple
 
 from .dist import Assembly, FiniteDistribution, _check_copy_count, as_rational
@@ -62,16 +61,6 @@ class TransformOutcome(NamedTuple):
     alphas: tuple[Fraction | None, ...] | None = None
 
 
-def _copy_weights(d: FiniteDistribution, n: int) -> list[int]:
-    """Each atom's share of the n-copy max, F(v)**n - F(v-)**n, times den**n.
-
-    The shared denominator ``d.form.den**n`` cancels in every ratio the
-    transforms take, so the weights stay integers.
-    """
-    powers = [c**n for c in accumulate(d.form.masses)]
-    return [b - a for a, b in zip((0, *powers), powers)]
-
-
 def _payoff_delta(d: FiniteDistribution, result: FiniteDistribution,
                   companion: FiniteDistribution, n: int, op: str) -> Fraction:
     """Check that the n-copy mean is unmoved; return E[result v Y] - E[d v Y]."""
@@ -107,7 +96,7 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
         raise PreconditionError(
             f"companion has mass {inside_mass} in ({a}, {b})"
         )
-    inside = [(v, m, w) for (v, m), w in zip(d.atoms, _copy_weights(d, n))
+    inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n))
               if a <= v <= b]
     if not inside:
         raise PreconditionError(f"distribution has no mass in [{a}, {b}]")
@@ -162,7 +151,7 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     if not 0 <= l < r:
         raise PreconditionError(f"need 0 <= l < r, got ({l}, {r})")
     n = _check_copy_count(n)
-    inside = [(v, m, w) for (v, m), w in zip(d.atoms, _copy_weights(d, n))
+    inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n))
               if l < v < r]
     if len(inside) != 2:
         raise PreconditionError(
@@ -270,7 +259,7 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
             alphas.append(None)
             continue
 
-        below = [(v, w) for v, w in zip(d.values, _copy_weights(d, n)) if v <= hi]
+        below = [(v, w) for v, w in zip(d.values, d.copy_weights(n)) if v <= hi]
         inside_weight = sum(((v - lo) * w for v, w in below if v > lo), _ZERO)
         t = 1 - inside_weight / (span * sum(w for _, w in below))
         root = nth_root(t, n, root_tol)

@@ -154,6 +154,17 @@ class TestGamGap:
             drift = abs(report.gap.midpoint - report.gap_mixture_form.midpoint)
             assert drift <= slack
 
+    def test_forms_must_agree_exactly(self):
+        # a mixture row shifted by one unit moves its mean by about 1e-41,
+        # far below the tolerance; the exact identity still catches it
+        tiny = F(1, 10**40 + 1)
+        a = Assembly((dist((0, tiny), (1, 1 - tiny)), dist((0, F(1, 2)), (2, F(1, 2)))))
+        t = a.table
+        nums, den = t.mixture
+        a.__dict__["table"] = type(t)(t.scale, t.xs, t.product, ((nums[0] + 1, *nums[1:]), den))
+        with pytest.raises(InvariantViolation, match="disagree"):
+            gam_gap(a)
+
 
 class TestFullReport:
     def test_identical_fair_bits(self):

@@ -229,6 +229,13 @@ class TestDiscretize:
         with pytest.raises(ResourceCapExceeded):
             discretize(uniform01, 20)
 
+    @pytest.mark.parametrize("m", [15000, 10**6])
+    def test_high_level_is_refused_with_a_short_message(self, m):
+        # m * 2**m has thousands of digits: refused without forming or printing it
+        with pytest.raises(ResourceCapExceeded, match=f"m = {m}") as caught:
+            discretize(uniform01, m)
+        assert len(str(caught.value)) < 200
+
     def test_rejects_mass_below_zero(self):
         def shifted(x, side="right"):
             return min(max(x + F(1, 2), F(0)), F(1))

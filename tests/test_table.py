@@ -88,7 +88,7 @@ def test_corners_by_hand():
 
 
 def _check_rows(a):
-    # the survival integrals and the gam_gap integrand read these rows; they
+    # the jump sums and the gam_gap integrand read these rows; they
     # must equal the CDF products and means computed point by point
     t = a.table
     prod_nums, prod_den = t.product

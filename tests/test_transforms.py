@@ -18,7 +18,6 @@ from maxmix import (
     reduce_pair,
     transforms,
 )
-from maxmix.transforms import _copy_weights
 
 from genutil import (
     random_coalesce_case,
@@ -284,7 +283,7 @@ class TestCopyWeights:
             top = Assembly.of_copies(d, n).max_distribution()
             den = d.form.den**n
             assert top.values == d.values
-            assert tuple(F(w, den) for w in _copy_weights(d, n)) == top.masses
+            assert tuple(F(w, den) for w in d.copy_weights(n)) == top.masses
 
     def test_coalesce_matches_the_cdf_formula(self):
         rng = random.Random(31)
