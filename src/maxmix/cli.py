@@ -11,8 +11,9 @@ Assembly files are UTF-8 text, one key per line, '#' starting a comment:
 Values and masses are exact rationals written as "3/7", "5" or "0.125"
 (decimal strings convert exactly).  Integers and "a/b" tokens may have any
 number of digits; other forms are limited to the interpreter's integer
-string limit (4300 digits by default).  Rendering is canonical, so
-parse(render(doc)) == doc for every valid document.
+string limit (4300 digits by default).  Rational option values follow the
+same rules.  Rendering is canonical, so parse(render(doc)) == doc for every
+valid document.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 precondition
 violation or size cap (including skipped sweep points), 3 internal
@@ -33,6 +34,7 @@ from . import bounds, extremal, oracle, transforms
 from .dist import (
     Assembly,
     FiniteDistribution,
+    _ratio,
     as_rational,
     check_cap,
     clip,
@@ -97,34 +99,6 @@ def decimal_str(x) -> str:
     return f"{sign}{mantissa}e{'+' if exp >= 0 else '-'}{abs(exp):02d}"
 
 
-def _digits_int(s: str) -> int:
-    """The integer of an ASCII digit string of any length (see `dist._int_str`)."""
-    try:
-        return int(s)
-    except ValueError:  # beyond the interpreter's digit limit: convert in halves
-        half = len(s) // 2
-        return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
-
-
-def _parse_ratio(tok: str, line: int) -> tuple[int, int]:
-    """A token as ``(numerator, denominator)``, denominator positive.
-
-    "a" and "a/b" with ASCII digits convert straight to integers; every other
-    form goes through `Fraction`, so exactly the tokens it accepts are valid.
-    """
-    num, sep, den = tok.partition("/")
-    if num.isdigit() and num.isascii() and (not sep or den.isdigit() and den.isascii()):
-        d = _digits_int(den) if sep else 1
-        if d:
-            return _digits_int(num), d
-    try:
-        x = as_rational(tok)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        detail = str(exc).replace(tok, clip(tok))
-        raise AssemblyParseError(f"bad rational {clip(tok)!r}: {detail}", line) from None
-    return x.numerator, x.denominator
-
-
 def parse_assembly_text(text: str) -> AssemblyDocument:
     name: str | None = None
     bound: Fraction | None = None
@@ -143,7 +117,10 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
         if key == "name":
             name = rest
         elif key == "bound":
-            bound = Fraction(*_parse_ratio(rest, lineno))
+            try:
+                bound = as_rational(rest)
+            except ValueError as exc:
+                raise AssemblyParseError(str(exc), lineno) from None
         elif key == "n":
             try:
                 declared_n = int(rest)
@@ -159,7 +136,10 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
                         f"got {clip(tok)!r}",
                         lineno,
                     )
-                pairs.append((_parse_ratio(parts[0], lineno), _parse_ratio(parts[1], lineno)))
+                try:
+                    pairs.append((_ratio(parts[0]), _ratio(parts[1])))
+                except ValueError as exc:
+                    raise AssemblyParseError(str(exc), lineno) from None
             try:
                 members.append(FiniteDistribution.from_ratios(pairs))
             except PreconditionError as exc:
@@ -178,8 +158,8 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
     doc = AssemblyDocument(Assembly(tuple(members)), name=name, bound=bound)
     if bound is not None and bound < doc.assembly.support_max:
         raise AssemblyParseError(
-            f"bound {fraction_str(bound)} is below the largest support point "
-            f"{fraction_str(doc.assembly.support_max)}"
+            f"bound {clip(fraction_str(bound))} is below the largest support point "
+            f"{clip(fraction_str(doc.assembly.support_max))}"
         )
     return doc
 
@@ -456,8 +436,8 @@ class _Parser(argparse.ArgumentParser):
 def _rational_arg(tok: str) -> Fraction:
     try:
         return as_rational(tok)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {tok!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an exact rational: {clip(tok)!r}") from None
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
@@ -467,7 +447,7 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 def _positive_rational(tok: str) -> Fraction:
     x = _rational_arg(tok)
     if x <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {tok!r}")
+        raise argparse.ArgumentTypeError(f"must be positive: {clip(tok)!r}")
     return x
 
 
@@ -475,9 +455,9 @@ def _positive_int(tok: str) -> int:
     try:
         x = int(tok)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {tok!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {clip(tok)!r}") from None
     if x < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {tok!r}")
+        raise argparse.ArgumentTypeError(f"must be >= 1: {clip(tok)!r}")
     return x
 
 

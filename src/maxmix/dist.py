@@ -58,12 +58,15 @@ _ONE = Fraction(1)
 def as_rational(x) -> Fraction:
     """Exact conversion to Fraction.
 
-    Accepts Fraction, int and strings like "3/7", "0.125" or "1e-3".
-    Floats are rejected: a float argument almost always means the caller
-    has already lost exactness, and this library cannot restore it.
+    Accepts Fraction, int and strings like "3/7", "0.125" or "1e-3", which
+    are read by the assembly file's token rules (`_ratio`).  Floats are
+    rejected: a float argument almost always means the caller has already
+    lost exactness, and this library cannot restore it.
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        return Fraction(*_ratio(x))
     if isinstance(x, bool):
         raise TypeError("booleans are not rational values")
     if isinstance(x, float):
@@ -111,6 +114,35 @@ def clip(text: str) -> str:
 
 def _shown(x: Fraction) -> str:
     return clip(fraction_str(x))
+
+
+def _digits_int(s: str) -> int:
+    """The integer of an ASCII digit string of any length (see `_int_str`)."""
+    try:
+        return int(s)
+    except ValueError:  # beyond the interpreter's digit limit: convert in halves
+        half = len(s) // 2
+        return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
+
+
+def _ratio(tok: str) -> tuple[int, int]:
+    """A rational token as ``(numerator, denominator)``, denominator positive.
+
+    The one reader of rational text.  "a" and "a/b" in ASCII digits convert
+    straight to integers of any length; every other form goes through
+    `Fraction`.  A refusal is a `ValueError` quoting at most `clip(tok)`.
+    """
+    num, sep, den = tok.partition("/")
+    if num.isdigit() and num.isascii() and (not sep or den.isdigit() and den.isascii()):
+        d = _digits_int(den) if sep else 1
+        if d:
+            return _digits_int(num), d
+    try:
+        x = Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        detail = str(exc).replace(tok, clip(tok))
+        raise ValueError(f"bad rational {clip(tok)!r}: {detail}") from None
+    return x.numerator, x.denominator
 
 
 def check_cap(count: int, what: str) -> None:
@@ -353,9 +385,6 @@ class FiniteDistribution(Frozen):
         f = self.form
         return Fraction(sum(map(mul, f.values, self.copy_weights(n))), f.scale * f.den**n)
 
-    def to_step(self) -> "SurvivalStep":
-        return SurvivalStep(self.values, self._cum)
-
     def __repr__(self):
         inner = ", ".join(f"{fraction_str(v)}:{fraction_str(m)}" for v, m in self.atoms)
         return f"FiniteDistribution({{{inner}}})"
@@ -412,15 +441,6 @@ class SurvivalStep(Frozen):
                     break
             plateaus.append(p)
         return cls(tuple(merged), tuple(plateaus))
-
-    def to_distribution(self) -> FiniteDistribution:
-        """Atoms at the jumps of the CDF."""
-        pairs = []
-        prev = _ZERO
-        for b, p in zip(self.breakpoints, self.plateaus):
-            pairs.append((b, p - prev))
-            prev = p
-        return FiniteDistribution.from_pairs(pairs)
 
 
 class CdfTable(Frozen):
@@ -524,9 +544,6 @@ class Assembly(Frozen):
     @property
     def support_max(self) -> Fraction:
         return max(d.support_max for d in self.members)
-
-    def product_step(self) -> SurvivalStep:
-        return SurvivalStep.product_of(d.to_step() for d in self.members)
 
     def expected_max(self) -> Fraction:
         """E of the maximum of the members, exactly: the product row's jump sum."""

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Frozen
+from .dist import Frozen, _shown, as_rational
 from .errors import PreconditionError
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
 
 def as_tolerance(tol) -> Fraction:
-    """Coerce a tolerance to an exact positive rational (floats accepted here)."""
-    t = Fraction(tol)
+    """Coerce a tolerance to an exact positive rational (floats converted exactly)."""
+    t = Fraction(tol) if isinstance(tol, float) else as_rational(tol)
     if t <= 0:
-        raise PreconditionError(f"tolerance must be positive, got {tol!r}")
+        raise PreconditionError(f"tolerance must be positive, got {_shown(t)}")
     return t
 
 
@@ -86,7 +86,7 @@ class Enclosure(Frozen):
         return Enclosure(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Enclosure) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bounds import performance_bounds
 from .dist import Assembly, FiniteDistribution, as_rational
-from .errors import PreconditionError, ResourceCapExceeded
+from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -120,7 +120,8 @@ def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly
         )
     a = Assembly(tuple(members))
     realized = a.similar_means()
-    assert realized == m_list, f"similar means {realized} != targets {m_list}"
+    if realized != m_list:
+        raise InvariantViolation(f"similar means {realized} != targets {m_list}")
     return a
 
 

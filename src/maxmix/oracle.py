@@ -48,18 +48,18 @@ class McEstimate(NamedTuple):
     seed: int
 
 
-def enumerate_expected_max(a: Assembly, outcome_cap: int = DEFAULT_OUTCOME_CAP
-                           ) -> Fraction:
+def enumerate_expected_max(a: Assembly) -> Fraction:
     """Exact E[X_max] by brute force over all support combinations.
 
     Masses are scaled to per-member integer weights so the inner loop is
-    integer arithmetic; outcomes are streamed, never materialized.
+    integer arithmetic; outcomes are streamed, never materialized.  More
+    than `DEFAULT_OUTCOME_CAP` (read at call time) are refused.
     """
     sizes = [len(d.atoms) for d in a.members]
     total_outcomes = reduce(lambda x, y: x * y, sizes, 1)
-    if total_outcomes > outcome_cap:
+    if total_outcomes > DEFAULT_OUTCOME_CAP:
         raise ResourceCapExceeded(
-            f"{total_outcomes} outcomes exceed the cap {outcome_cap}"
+            f"{total_outcomes} outcomes exceed the cap {DEFAULT_OUTCOME_CAP}"
         )
     pools = []
     denom = 1

@@ -3,15 +3,18 @@
 Everything here produces exact rationals: values are drawn from a small
 grid of fractions, masses are integer compositions over a random common
 denominator (<= 64), so generated distributions exercise the same exact
-arithmetic the library promises.
+arithmetic the library promises.  The step-CDF helpers build the
+distribution of a maximum by pointwise products, a path the library's
+integer table does not take.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
-from maxmix import Assembly, FiniteDistribution
+from maxmix import Assembly, FiniteDistribution, SurvivalStep
 
 VALUE_DENOMS = (1, 2, 3, 4)
 
@@ -53,6 +56,27 @@ def random_assembly(rng: random.Random, n_range: tuple[int, int] = (2, 6),
 def support_grid(a: Assembly) -> tuple[Fraction, ...]:
     """The members' merged support, in increasing order."""
     return tuple(sorted({v for d in a.members for v in d.values}))
+
+
+# ---------------------------------------------------------------------------
+# step CDFs: an independent path to the distribution of a maximum
+
+
+def cdf_step(d: FiniteDistribution) -> SurvivalStep:
+    """The CDF of d as a step function over its values."""
+    return SurvivalStep(d.values, accumulate(d.masses))
+
+
+def product_step(a: Assembly) -> SurvivalStep:
+    """The CDF of the members' maximum, as a pointwise product of step CDFs."""
+    return SurvivalStep.product_of(cdf_step(d) for d in a.members)
+
+
+def step_distribution(step: SurvivalStep) -> FiniteDistribution:
+    """Atoms at the jumps of a step CDF."""
+    below = (Fraction(0),) + step.plateaus[:-1]
+    return FiniteDistribution.from_pairs(
+        (b, p - q) for b, p, q in zip(step.breakpoints, step.plateaus, below))
 
 
 def random_identical_assembly(rng: random.Random, n_range: tuple[int, int] = (2, 4),

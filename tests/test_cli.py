@@ -18,6 +18,7 @@ from maxmix.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     AssemblyDocument,
+    build_parser,
     decimal_str,
     fraction_str,
     main,
@@ -377,6 +378,57 @@ class TestNegativeFractionArguments:
         joined = _run_quietly(head + other + [f"{option}=-1/2"])
         assert spaced == joined
         assert "expected one argument" not in spaced[1]
+
+
+LONG_INT = "7" * 5000  # beyond the interpreter's default limit of 4300 digits
+
+
+def _file_value(tok):
+    """What an assembly file reads from tok on its bound line."""
+    return parse_assembly_text(f"bound: {tok}\nmember: 0:1\n").bound
+
+
+class TestLongOptionValues:
+    """A rational option reads a token exactly as an assembly file does."""
+
+    @pytest.mark.parametrize("argv, read", [
+        (["verify", "f", "--bound", LONG_INT], lambda args: args.bound),
+        (["transform", "f", "--op", "down", "--lo", LONG_INT, "--hi", "1"],
+         lambda args: args.lo),
+        (["transform", "f", "--op", "down", "--lo", "0", "--hi", LONG_INT],
+         lambda args: args.hi),
+        (["extremal", "--n", "2", "--m-list", f"1,{LONG_INT}", "--epsilon", "1"],
+         lambda args: args.m_list[1]),
+        (["sweep", "--points", f"{LONG_INT},1/2", "--out", "o.csv"],
+         lambda args: args.points[0]),
+    ], ids=["bound", "lo", "hi", "m-list", "points"])
+    def test_option_reads_like_a_file(self, argv, read):
+        assert read(build_parser().parse_args(argv)) == _file_value(LONG_INT)
+
+    def test_verify_bound_matches_the_file_bound(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text(EXAMPLE.replace("bound: 1", f"bound: {LONG_INT}"))
+        assert main(["verify", str(path)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        path.write_text(EXAMPLE.replace("bound: 1\n", ""))
+        assert main(["verify", str(path), "--bound", LONG_INT]) == EXIT_OK
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["verify", "{file}"], "--bound", "7" * 4999 + "x"),
+        (["verify", "{file}"], "--bound", "-" + "7" * 4999),
+        (["verify", "{file}"], "--bound", "x" * 100),
+        (["verify", "{file}"], "--tol", "0" * 5000),
+        (["transform", "{file}", "--op", "down", "--hi", "1"], "--lo", "7" * 4999 + "x"),
+        (["sweep", "--template", "{file}", "--out", "o.csv"], "--steps", "0" * 5000),
+    ], ids=["bound-bad-end", "bound-signed", "bound-letters", "tol-zero", "lo-bad-end",
+            "steps-zero"])
+    def test_refused_value_is_quoted_clipped(self, example_file, argv, option, value):
+        argv = [a.format(file=example_file) for a in argv] + [option, value]
+        code, err = _run_quietly(argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: argument {option}: ")
+        assert value[:41] not in err and len(err) < 200
 
 
 class TestBadArguments:

@@ -13,10 +13,18 @@ from maxmix import (
     PreconditionError,
     ResourceCapExceeded,
     SurvivalStep,
+    as_rational,
     discretize,
 )
 
-from genutil import random_assembly, random_distribution, support_grid
+from genutil import (
+    cdf_step,
+    product_step,
+    random_assembly,
+    random_distribution,
+    step_distribution,
+    support_grid,
+)
 
 
 def dist(*pairs):
@@ -74,6 +82,19 @@ class TestConstruction:
     def test_string_inputs_are_exact(self):
         d = dist(("0.125", "1/2"), ("3/7", "0.5"))
         assert d.atoms == ((F(1, 8), F(1, 2)), (F(3, 7), F(1, 2)))
+
+    def test_long_integer_strings_are_exact(self):
+        tok = "1" * 5000  # beyond the interpreter's default limit of 4300 digits
+        want = (10**5000 - 1) // 9
+        assert as_rational(tok) == want
+        assert dist((tok, 1)).support_max == want
+
+    @pytest.mark.parametrize("tok", ["1" * 4999 + "x", "-" + "1" * 4999, "x" * 100],
+                             ids=["bad-end", "signed", "letters"])
+    def test_refused_strings_are_quoted_clipped(self, tok):
+        with pytest.raises(ValueError, match="^bad rational") as caught:
+            as_rational(tok)
+        assert tok[:41] not in str(caught.value) and len(str(caught.value)) < 300
 
     def test_equality_is_decidable(self):
         a = dist((0, F(1, 2)), (1, F(1, 2)))
@@ -248,13 +269,13 @@ class TestSurvivalStep:
         rng = random.Random(11)
         for _ in range(20):
             d = random_distribution(rng)
-            assert d.to_step().to_distribution() == d
+            assert step_distribution(cdf_step(d)) == d
 
     def test_product_matches_pointwise_cdf(self):
         rng = random.Random(12)
         for _ in range(20):
             a = random_assembly(rng, n_range=(2, 4))
-            step = a.product_step()
+            step = product_step(a)
             for x in support_grid(a):
                 expect = F(1)
                 for d in a.members:

@@ -7,6 +7,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import Enclosure, PreconditionError, int_nth_root, nth_root
+from maxmix.enclosure import as_tolerance
 
 
 def bisected_root(x: F, n: int, tol: F) -> Enclosure:
@@ -40,6 +41,20 @@ def integers_of_up_to(max_bits: int):
 
 radicands = st.builds(F, integers_of_up_to(600), integers_of_up_to(600).map(lambda d: d + 1))
 tolerances = st.builds(lambda m, e: F(m, 10**e), st.integers(1, 10), st.integers(4, 40))
+
+
+class TestAsTolerance:
+    def test_reads_strings_like_a_file_and_floats_exactly(self):
+        assert as_tolerance("1" * 5000) == (10**5000 - 1) // 9
+        assert as_tolerance("1e-3") == F(1, 1000)
+        assert as_tolerance(0.5) == F(1, 2)
+
+    @pytest.mark.parametrize("tol", ["0" * 5000, "-1e5000", "1" * 4999 + "x"],
+                             ids=["zero", "negative", "bad-end"])
+    def test_refusal_is_short(self, tol):
+        with pytest.raises(ValueError) as caught:
+            as_tolerance(tol)
+        assert len(str(caught.value)) < 300
 
 
 class TestIntNthRoot:

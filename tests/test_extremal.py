@@ -8,6 +8,7 @@ from maxmix import (
     Assembly,
     ExtremalSpec,
     FiniteDistribution,
+    InvariantViolation,
     PreconditionError,
     build,
     full_report,
@@ -15,6 +16,7 @@ from maxmix import (
     phi,
     theta_sup,
 )
+from maxmix.cli import EXIT_INVARIANT, main
 
 
 class TestThetaSup:
@@ -72,6 +74,16 @@ class TestExplicitSchedules:
         schedule = (F(9, 10), F(19, 20))
         a = build(ExtremalSpec(targets, F(1), schedule))
         assert a.similar_means() == targets
+
+    def test_missed_targets_are_an_invariant_breach(self, monkeypatch, capsys):
+        exact = Assembly.similar_means
+        monkeypatch.setattr(Assembly, "similar_means",
+                            lambda a: tuple(m + F(1, 10**30) for m in exact(a)))
+        with pytest.raises(InvariantViolation, match="similar means"):
+            build(ExtremalSpec((F(1), F(1)), F(1), (F(1, 2),)))
+        assert main(["extremal", "--n", "2", "--equal", "1", "--epsilon", "1/10"]) \
+            == EXIT_INVARIANT
+        assert "internal invariant breach: similar means" in capsys.readouterr().err
 
     def test_rejects_unordered_values(self):
         # equal targets with equal masses give equal non-zero values

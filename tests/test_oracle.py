@@ -12,6 +12,7 @@ from maxmix import (
     ResourceCapExceeded,
     enumerate_expected_max,
     mc_expected_max,
+    oracle,
 )
 
 from genutil import random_assembly
@@ -50,10 +51,11 @@ class TestEnumeration:
                 copies = Assembly.of_copies(d, n)
                 assert enumerate_expected_max(copies) == d.similar_max_mean(n)
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_OUTCOME_CAP", 15)
         d = dist((0, F(1, 2)), (1, F(1, 2)))
         with pytest.raises(ResourceCapExceeded):
-            enumerate_expected_max(Assembly((d,) * 4), outcome_cap=15)
+            enumerate_expected_max(Assembly((d,) * 4))
 
 
 class TestMonteCarlo:

@@ -3,21 +3,25 @@
 Tokens of the form "a" and "a/b" are read straight to integers; every other
 form goes through `Fraction`.  The differential test checks that the parser
 accepts and refuses exactly what `FiniteDistribution.from_pairs` does on
-`Fraction(token)`, with the same atoms and the same messages.
+`Fraction(token)`, with the same atoms and the same messages.  A second
+property checks that a file, a CLI option and `as_rational` read every
+token alike.
 """
 
 import sys
+from argparse import ArgumentTypeError
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from maxmix import Assembly, FiniteDistribution, PreconditionError
+from maxmix import Assembly, FiniteDistribution, PreconditionError, as_rational
 from maxmix.cli import (
     EXIT_USAGE,
     AssemblyDocument,
     AssemblyParseError,
+    _rational_arg,
     main,
     parse_assembly_text,
     render_assembly,
@@ -177,6 +181,32 @@ def test_parser_matches_fraction_and_from_pairs(pairs):
         assert got == want
     else:
         assert len(got) < 200
+
+
+def _read(reader, tok):
+    """The value, or "refused" with a message that quotes at most 40 characters."""
+    try:
+        return reader(tok)
+    except (ValueError, ArgumentTypeError) as exc:
+        assert tok[:41] not in str(exc) or len(tok) <= 40
+        return "refused"
+
+
+def _file_bound(tok):
+    """The bound line's value; "negative" when it is read but below the support."""
+    try:
+        return parse_assembly_text(f"bound: {tok}\nmember: 0:1\n").bound
+    except AssemblyParseError as exc:
+        return "negative" if "below the largest support point" in str(exc) else "refused"
+
+
+@seed(1_105_115)
+@settings(max_examples=400, deadline=None)
+@given(tokens)
+def test_file_option_and_library_read_a_token_alike(tok):
+    value = _read(as_rational, tok)
+    assert _read(_rational_arg, tok) == value
+    assert _file_bound(tok) == ("negative" if value != "refused" and value < 0 else value)
 
 
 # ---------------------------------------------------------------------------

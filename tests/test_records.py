@@ -30,6 +30,8 @@ from maxmix import (
 from maxmix.cli import AssemblyDocument, SweepRow
 from maxmix.dist import CdfTable
 
+from genutil import cdf_step
+
 
 def _dist():
     return FiniteDistribution.from_pairs([(0, F(1, 4)), (F(3, 2), F(3, 4))])
@@ -59,7 +61,7 @@ RECORDS = {
 VALUES = {
     "Enclosure": lambda: Enclosure(F(1, 3), F(1, 2)),
     "FiniteDistribution": _dist,
-    "SurvivalStep": lambda: _dist().to_step(),
+    "SurvivalStep": lambda: cdf_step(_dist()),
     "CdfTable": lambda: _assembly().table,
     "Assembly": _assembly,
 }
@@ -118,7 +120,7 @@ def test_reprs_are_unchanged():
     assert repr(_dist()) == "FiniteDistribution({0:1/4, 3/2:3/4})"
     assert repr(_assembly()) == \
         "Assembly(n=2, members=[FiniteDistribution({0:1/4, 3/2:3/4}), FiniteDistribution({1:1})])"
-    assert repr(_dist().to_step()) == (
+    assert repr(cdf_step(_dist())) == (
         "SurvivalStep(breakpoints=(Fraction(0, 1), Fraction(3, 2)), "
         "plateaus=(Fraction(1, 4), Fraction(1, 1)))")
     assert repr(_assembly().table) == \
@@ -131,7 +133,7 @@ def test_reprs_are_unchanged():
 def test_keyword_construction():
     assert Enclosure(lo=F(1), hi=F(2)) == Enclosure(F(1), F(2))
     assert Assembly(members=[_dist()]) == Assembly((_dist(),))
-    step = _dist().to_step()
+    step = cdf_step(_dist())
     assert SurvivalStep(breakpoints=list(step.breakpoints), plateaus=step.plateaus) == step
     t = _assembly().table
     assert CdfTable(scale=t.scale, xs=t.xs, product=t.product, mixture=t.mixture) == t

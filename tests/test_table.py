@@ -27,7 +27,7 @@ from maxmix import (
 )
 from maxmix.cli import parse_assembly_text
 
-from genutil import random_assembly, support_grid
+from genutil import product_step, random_assembly, step_distribution, support_grid
 
 values = st.one_of(
     st.just(F(0)),
@@ -201,7 +201,7 @@ def test_swept_rows_match_pointwise_cdfs(a):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(assemblies(), corner_assemblies()))
 def test_max_distribution_is_the_product_step(a):
-    assert a.max_distribution() == a.product_step().to_distribution()
+    assert a.max_distribution() == step_distribution(product_step(a))
 
 
 # ---------------------------------------------------------------------------
