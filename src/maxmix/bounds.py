@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dist import Assembly, as_rational
+from .dist import Assembly, _shown, as_rational
 from .enclosure import DEFAULT_TOL, Enclosure, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
@@ -100,7 +100,8 @@ def holder_lower(m_list, b, n: int, tol=DEFAULT_TOL) -> Enclosure:
             raise PreconditionError("similar means must be non-negative")
         if m > b:
             raise PreconditionError(
-                f"{b} is not a common upper bound: similar mean {m} exceeds it"
+                f"{_shown(b)} is not a common upper bound: similar mean {_shown(m)} "
+                f"exceeds it"
             )
     prod = _ONE
     for m in ms:
@@ -154,7 +155,7 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     e_u = sum((d.expected_value() for d in a.members), _ZERO) / n
     if e_mix != e_u:
         raise InvariantViolation(
-            f"integral and mixture forms of the gap disagree by {e_mix - e_u}"
+            f"integral and mixture forms of the gap disagree by {_shown(e_mix - e_u)}"
         )
     gap = Enclosure(ev_lo - e_mix, ev_hi - e_mix)
     mixture_form = Enclosure(ev_lo - e_u, ev_hi - e_u)
@@ -162,9 +163,12 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     bound = upper - m_bar
 
     if gap.hi < 0:
-        raise InvariantViolation(f"CDF mean gap certified negative: {gap}")
+        raise InvariantViolation(
+            f"CDF mean gap certified negative: [{_shown(gap.lo)}, {_shown(gap.hi)}]")
     if gap.lo > bound:
-        raise InvariantViolation(f"CDF mean gap {gap} certified above bound {bound}")
+        raise InvariantViolation(
+            f"CDF mean gap [{_shown(gap.lo)}, {_shown(gap.hi)}] certified above "
+            f"bound {_shown(bound)}")
     return GamGapReport(gap=gap, bound=bound, gap_mixture_form=mixture_form)
 
 
@@ -257,7 +261,8 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
         b = as_rational(b)
         if b < a.support_max:
             raise PreconditionError(
-                f"bound {b} is below the assembly support maximum {a.support_max}"
+                f"bound {_shown(b)} is below the assembly support maximum "
+                f"{_shown(a.support_max)}"
             )
         holder = holder_lower(m_list, b, n, tol)
         holder_le_exact = holder.midpoint <= exact_e + tol

@@ -12,7 +12,7 @@ Values and masses are exact rationals written as "3/7", "5" or "0.125"
 (decimal strings convert exactly).  Integers and "a/b" tokens may have any
 number of digits; other forms are limited to the interpreter's integer
 string limit (4300 digits by default).  Rational option values follow the
-same rules.  Rendering is canonical, so parse(render(doc)) == doc for every
+same rules, and so do integer option values, which must be whole.  Rendering is canonical, so parse(render(doc)) == doc for every
 valid document.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 precondition
@@ -27,6 +27,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +35,8 @@ from . import bounds, extremal, oracle, transforms
 from .dist import (
     Assembly,
     FiniteDistribution,
-    _ratio,
+    _ratios,
+    _shown,
     as_rational,
     check_cap,
     clip,
@@ -127,21 +129,26 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
             except ValueError:
                 raise AssemblyParseError(f"bad member count {clip(rest)!r}", lineno) from None
         elif key == "member":
-            pairs = []
-            for tok in rest.split():
-                parts = tok.split(":")
-                if len(parts) != 2:
-                    raise AssemblyParseError(
-                        f"member {len(members) + 1}: expected value:mass, "
-                        f"got {clip(tok)!r}",
-                        lineno,
-                    )
-                try:
-                    pairs.append((_ratio(parts[0]), _ratio(parts[1])))
-                except ValueError as exc:
-                    raise AssemblyParseError(str(exc), lineno) from None
+            toks = rest.split()
+            colons = list(map(str.count, toks, repeat(":")))
+            # read up to the first token that is not value:mass, so that the
+            # first fault in token order is the one reported
+            j = len(toks)
+            if colons.count(1) != j:
+                j = next(k for k, c in enumerate(colons) if c != 1)
             try:
-                members.append(FiniteDistribution.from_ratios(pairs))
+                nums, dens = _ratios(":".join(toks[:j]).split(":") if j else ())
+            except ValueError as exc:
+                raise AssemblyParseError(str(exc), lineno) from None
+            if j < len(toks):
+                raise AssemblyParseError(
+                    f"member {len(members) + 1}: expected value:mass, "
+                    f"got {clip(toks[j])!r}",
+                    lineno,
+                )
+            try:
+                members.append(FiniteDistribution.from_ratios(
+                    nums[0::2], dens[0::2], nums[1::2], dens[1::2]))
             except PreconditionError as exc:
                 raise AssemblyParseError(
                     f"member {len(members) + 1}: {exc}", lineno
@@ -153,13 +160,13 @@ def parse_assembly_text(text: str) -> AssemblyDocument:
         raise AssemblyParseError("no members found")
     if declared_n is not None and declared_n != len(members):
         raise AssemblyParseError(
-            f"declared n = {declared_n} but found {len(members)} members"
+            f"declared n = {_shown(declared_n)} but found {len(members)} members"
         )
     doc = AssemblyDocument(Assembly(tuple(members)), name=name, bound=bound)
     if bound is not None and bound < doc.assembly.support_max:
         raise AssemblyParseError(
-            f"bound {clip(fraction_str(bound))} is below the largest support point "
-            f"{clip(fraction_str(doc.assembly.support_max))}"
+            f"bound {_shown(bound)} is below the largest support point "
+            f"{_shown(doc.assembly.support_max)}"
         )
     return doc
 
@@ -302,7 +309,7 @@ def cmd_transform(args) -> int:
         if a.n < 2:
             raise PreconditionError("coalesce and reduce need a companion member")
         if not 0 <= args.member < a.n:
-            raise PreconditionError(f"no member {args.member} in a {a.n}-assembly")
+            raise PreconditionError(f"no member {_shown(args.member)} in a {a.n}-assembly")
         target = a.members[args.member]
         companion = _companion_of(a, args.member)
         if args.op == "coalesce":
@@ -347,7 +354,7 @@ def _sweep_points(args) -> list[Fraction]:
 def _row_for(param: Fraction, a: Assembly) -> SweepRow:
     report = bounds.full_report(a)
     if not report.chain.all_ok:
-        raise InvariantViolation(f"sweep row violates the chain at {param}")
+        raise InvariantViolation(f"sweep row violates the chain at {_shown(param)}")
     return SweepRow(
         parameter=param, m_bar=report.m_bar, mixture_e=report.mixture_e,
         exact_e=report.exact_e, upper=report.upper, theta=report.theta,
@@ -394,7 +401,7 @@ def cmd_sweep(args) -> int:
     rows = [_row_for(param, a) for param, a in build_for.items()]
     rows.sort(key=lambda r: r.parameter)
     for param, reason in skipped:
-        print(f"warning: skipping {fraction_str(param)}: {reason}", file=sys.stderr)
+        print(f"warning: skipping {_shown(param)}: {reason}", file=sys.stderr)
 
     header = []
     for field in SweepRow._fields:
@@ -451,14 +458,24 @@ def _positive_rational(tok: str) -> Fraction:
     return x
 
 
-def _positive_int(tok: str) -> int:
-    try:
-        x = int(tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {clip(tok)!r}") from None
-    if x < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {clip(tok)!r}")
-    return x
+def _int_arg(least: int | None = None):
+    """The type of an integer option: a whole rational token, at least ``least``.
+
+    The value is read by the file-token rules, so it may have any number of
+    digits; a refusal quotes at most 40 characters of it.
+    """
+    def read(tok: str) -> int:
+        try:
+            (num,), (den,) = _ratios((tok,))
+        except ValueError:
+            den = 0
+        if not den or num % den:
+            raise argparse.ArgumentTypeError(f"not an integer: {clip(tok)!r}")
+        x = num // den
+        if least is not None and x < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}: {clip(tok)!r}")
+        return x
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,13 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_rational_arg, default=None,
                    help="common support upper bound (overrides the file)")
     p.add_argument("--tol", type=_positive_rational, default=DEFAULT_TOL)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_int_arg(2), default=None,
                    help="also run the Monte Carlo oracle with this many samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg(), default=0,
+                   help="Monte Carlo seed, in [0, 2**64)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extremal", help="build a near-extremal two-point assembly")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg(1), required=True)
     p.add_argument("--equal", type=_positive_rational, default=None,
                    help="one shared target similar mean")
     p.add_argument("--m-list", type=_rational_list, default=None,
@@ -491,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a certified mass rearrangement")
     p.add_argument("input")
     p.add_argument("--op", choices=("coalesce", "reduce", "down"), required=True)
-    p.add_argument("--member", type=int, default=0,
+    p.add_argument("--member", type=_int_arg(0), default=0,
                    help="target member for coalesce/reduce (companion is the "
                         "max of the others)")
     p.add_argument("--lo", type=_rational_arg, required=True,
@@ -505,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="emit a CSV of the bound chain along a parameter")
     p.add_argument("--template", default=None,
                    help="assembly file with $p (and optionally $q = 1 - $p) tokens")
-    p.add_argument("--extremal-n", type=int, default=None,
+    p.add_argument("--extremal-n", type=_int_arg(1), default=None,
                    help="sweep the tightening delta of the equal-target extremal family")
     p.add_argument("--equal", type=_positive_rational, default=None)
     p.add_argument("--points", type=_rational_list, default=None,
                    help="comma-separated parameter values")
     p.add_argument("--from", dest="start", type=_rational_arg, default=None)
     p.add_argument("--to", dest="stop", type=_rational_arg, default=None)
-    p.add_argument("--steps", type=_positive_int, default=None)
+    p.add_argument("--steps", type=_int_arg(1), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -39,8 +39,8 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from operator import mul
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple
+from operator import attrgetter, floordiv, lt, mul
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import PreconditionError, ResourceCapExceeded
 
@@ -59,14 +59,15 @@ def as_rational(x) -> Fraction:
     """Exact conversion to Fraction.
 
     Accepts Fraction, int and strings like "3/7", "0.125" or "1e-3", which
-    are read by the assembly file's token rules (`_ratio`).  Floats are
+    are read by the assembly file's token rules (`_ratios`).  Floats are
     rejected: a float argument almost always means the caller has already
     lost exactness, and this library cannot restore it.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(*_ratio(x))
+        (num,), (den,) = _ratios((x,))
+        return Fraction(num, den)
     if isinstance(x, bool):
         raise TypeError("booleans are not rational values")
     if isinstance(x, float):
@@ -112,8 +113,21 @@ def clip(text: str) -> str:
     return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}...({len(text)} chars)"
 
 
-def _shown(x: Fraction) -> str:
-    return clip(fraction_str(x))
+def _shown(x) -> str:
+    """A value for an error message, clipped.
+
+    Every value a refusal quotes goes through here.  Integers and rationals
+    are written exactly by `fraction_str`, since ``str`` raises on integers
+    beyond the interpreter's digit limit; a tuple or list of them is joined
+    with commas; anything else is shown by its repr.
+    """
+    if isinstance(x, (tuple, list)):
+        text = ", ".join(map(fraction_str, x))
+    elif isinstance(x, (int, Fraction)):
+        text = fraction_str(x)
+    else:
+        text = repr(x)
+    return clip(text)
 
 
 def _digits_int(s: str) -> int:
@@ -125,30 +139,46 @@ def _digits_int(s: str) -> int:
         return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
 
 
-def _ratio(tok: str) -> tuple[int, int]:
-    """A rational token as ``(numerator, denominator)``, denominator positive.
+def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
+    """Rational tokens as two integer columns: numerators, and positive denominators.
 
-    The one reader of rational text.  "a" and "a/b" in ASCII digits convert
-    straight to integers of any length; every other form goes through
-    `Fraction`.  A refusal is a `ValueError` quoting at most `clip(tok)`.
+    The one reader of rational text: the parser reads a member line by it
+    and `as_rational` one token.  "a" and "a/b" in ASCII digits convert
+    straight to integers of any length in this loop; every other form goes
+    through `Fraction`.  A refusal is a `ValueError` quoting at most
+    `clip(tok)`.
     """
-    num, sep, den = tok.partition("/")
-    if num.isdigit() and num.isascii() and (not sep or den.isdigit() and den.isascii()):
-        d = _digits_int(den) if sep else 1
-        if d:
-            return _digits_int(num), d
-    try:
-        x = Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        detail = str(exc).replace(tok, clip(tok))
-        raise ValueError(f"bad rational {clip(tok)!r}: {detail}") from None
-    return x.numerator, x.denominator
+    nums, dens = [], []
+    known = {"": 1}  # denominators repeat along a line; "" is a token without "/"
+    for tok in toks:
+        num, sep, den = tok.partition("/")
+        if tok.isascii() and num.isdigit() and (den.isdigit() or not sep):
+            try:
+                b = known.get(den)
+                if b is None:
+                    b = known[den] = int(den)
+                a = int(num)
+            except ValueError:  # beyond the interpreter's digit limit
+                a, b = _digits_int(num), _digits_int(den) if sep else 1
+            if b:
+                nums.append(a)
+                dens.append(b)
+                continue
+        try:
+            x = Fraction(tok)
+        except (ValueError, ZeroDivisionError) as exc:
+            detail = str(exc).replace(tok, clip(tok))
+            raise ValueError(f"bad rational {clip(tok)!r}: {detail}") from None
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    return nums, dens
 
 
-def check_cap(count: int, what: str) -> None:
-    """Refuse a construction of more than `DEFAULT_ATOM_CAP` points."""
-    if count > DEFAULT_ATOM_CAP:
-        raise ResourceCapExceeded(f"{what} {count} exceeds the cap {DEFAULT_ATOM_CAP}")
+def check_cap(count: int, what: str, cap: int | None = None) -> None:
+    """Refuse a construction of more than ``cap`` points, `DEFAULT_ATOM_CAP` if None."""
+    cap = DEFAULT_ATOM_CAP if cap is None else cap
+    if count > cap:
+        raise ResourceCapExceeded(f"{what} {_shown(count)} exceeds the cap {cap}")
 
 
 def jump_weights(cum: Iterable[int], n: int) -> Iterator[int]:
@@ -167,7 +197,7 @@ def jump_weights(cum: Iterable[int], n: int) -> Iterator[int]:
 
 def _check_copy_count(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PreconditionError(f"copy count must be an integer >= 1, got {n!r}")
+        raise PreconditionError(f"copy count must be an integer >= 1, got {_shown(n)}")
     return n
 
 
@@ -185,34 +215,40 @@ class IntegerForm(NamedTuple):
     masses: tuple[int, ...]
 
     @classmethod
-    def of(cls, pairs: Iterable) -> "IntegerForm":
-        """Canonicalise ``((value num, value den), (mass num, mass den))`` pairs.
+    def of(cls, vnums: Sequence[int], vdens: Sequence[int],
+           mnums: Sequence[int], mdens: Sequence[int]) -> "IntegerForm":
+        """Canonicalise atoms given as four integer columns.
 
-        Denominators must be positive; the fractions need not be in lowest
-        terms.  Equal values are merged and zero masses dropped; a negative
-        mass (checked in input order), a negative value or a total other
-        than 1 is refused.
+        Atom k has value ``vnums[k] / vdens[k]`` and mass ``mnums[k] /
+        mdens[k]``.  Denominators must be positive; the fractions need not be
+        in lowest terms.  Equal values are merged and zero masses dropped; a
+        negative mass (checked in input order), a negative value or a total
+        other than 1 is refused.  Values that already rise strictly, as in a
+        canonical file, skip the merge and the sort.
         """
-        kept = []
-        for (vn, vd), (mn, md) in pairs:
-            if mn < 0:
-                m, v = _shown(Fraction(mn, md)), _shown(Fraction(vn, vd))
-                raise PreconditionError(f"atom mass {m} at value {v} is negative")
-            if mn:
-                kept.append((vn, vd, mn, md))
-        if not kept:
-            raise PreconditionError("a distribution needs at least one atom")
-        scale = math.lcm(*{vd for _, vd, _, _ in kept})
-        den = math.lcm(*{md for _, _, _, md in kept})
-        merged: dict[int, int] = {}
-        for vn, vd, mn, md in kept:
-            x = vn * (scale // vd)
-            merged[x] = merged.get(x, 0) + mn * (den // md)
-        values = sorted(merged)
+        if not mnums or min(mnums) <= 0:
+            for vn, vd, mn, md in zip(vnums, vdens, mnums, mdens):
+                if mn < 0:
+                    m, v = _shown(Fraction(mn, md)), _shown(Fraction(vn, vd))
+                    raise PreconditionError(f"atom mass {m} at value {v} is negative")
+            kept = [k for k, mn in enumerate(mnums) if mn]
+            if not kept:
+                raise PreconditionError("a distribution needs at least one atom")
+            vnums, vdens, mnums, mdens = (
+                [col[k] for k in kept] for col in (vnums, vdens, mnums, mdens))
+        scale = math.lcm(*set(vdens))
+        den = math.lcm(*set(mdens))
+        values = list(map(mul, vnums, map(floordiv, repeat(scale), vdens)))
+        masses = list(map(mul, mnums, map(floordiv, repeat(den), mdens)))
+        if not all(map(lt, values, values[1:])):
+            merged: dict[int, int] = {}
+            for x, m in zip(values, masses):
+                merged[x] = merged.get(x, 0) + m
+            values = sorted(merged)
+            masses = [merged[x] for x in values]
         if values[0] < 0:
             raise PreconditionError(
                 f"atom value {_shown(Fraction(values[0], scale))} is negative")
-        masses = [merged[x] for x in values]
         total = sum(masses)
         if total != den:
             raise PreconditionError(
@@ -264,9 +300,14 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _ratios(atoms):
-    return (((v.numerator, v.denominator), (m.numerator, m.denominator))
-            for v, m in atoms)
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _columns(atoms) -> tuple[tuple[int, ...], ...]:
+    """``(value, mass)`` Fraction pairs as the four columns of `IntegerForm.of`."""
+    vals, masses = zip(*atoms) if atoms else ((), ())
+    return (tuple(map(_numerator, vals)), tuple(map(_denominator, vals)),
+            tuple(map(_numerator, masses)), tuple(map(_denominator, masses)))
 
 
 class FiniteDistribution(Frozen):
@@ -294,7 +335,7 @@ class FiniteDistribution(Frozen):
                 "atom values must be strictly increasing in canonical form; "
                 "use FiniteDistribution.from_pairs to merge and sort"
             )
-        object.__setattr__(self, "form", IntegerForm.of(_ratios(atoms)))
+        object.__setattr__(self, "form", IntegerForm.of(*_columns(atoms)))
         object.__setattr__(self, "atoms", atoms)  # fills the cached view
 
     @classmethod
@@ -312,16 +353,18 @@ class FiniteDistribution(Frozen):
         error.  The total mass must still be exactly 1.
         """
         return cls._of_form(IntegerForm.of(
-            _ratios((as_rational(v), as_rational(m)) for v, m in pairs)))
+            *_columns([(as_rational(v), as_rational(m)) for v, m in pairs])))
 
     @classmethod
-    def from_ratios(cls, pairs: Iterable) -> "FiniteDistribution":
-        """`from_pairs` on ``((value num, value den), (mass num, mass den))`` integers.
+    def from_ratios(cls, vnums: Sequence[int], vdens: Sequence[int],
+                    mnums: Sequence[int], mdens: Sequence[int]) -> "FiniteDistribution":
+        """`from_pairs` on integer columns: value ``vnums[k] / vdens[k]`` has mass
+        ``mnums[k] / mdens[k]``.
 
         Denominators must be positive.  This is how the file parser builds
         members without making a `Fraction` per token.
         """
-        return cls._of_form(IntegerForm.of(pairs))
+        return cls._of_form(IntegerForm.of(vnums, vdens, mnums, mdens))
 
     @classmethod
     def point_mass(cls, value) -> "FiniteDistribution":
@@ -469,33 +512,41 @@ class CdfTable(Frozen):
 
     @classmethod
     def of(cls, members: Iterable[FiniteDistribution]) -> "CdfTable":
-        """Both rows in one sweep over the members' jumps, in integers."""
+        """Both rows in one sweep over the members' jumps, in integers.
+
+        The jumps are one list of ``(point, member, mass, mixture mass)``
+        sorted by point; each member's run is already in order, so the sort
+        merges them.
+        """
         forms = [d.form for d in members]
         scale = math.lcm(*(f.scale for f in forms))
         common = math.lcm(*(f.den for f in forms))
-        jumps: dict[int, list[tuple[int, int, int]]] = {}
+        jumps = []
         for i, f in enumerate(forms):
             r, w = scale // f.scale, common // f.den
-            for x, m in zip(f.values, f.masses):
-                jumps.setdefault(x * r, []).append((i, m, w * m))
-        check_cap(len(jumps), "merged support size")
-        xs = sorted(jumps)
+            jumps += [(x * r, i, m, w * m) for x, m in zip(f.values, f.masses)]
+        jumps.sort()
+        # a jump closes its point when the next one lies further right
+        points = [j[0] for j in jumps]
+        closes = [*map(lt, points, points[1:]), True]
+        check_cap(sum(closes), "merged support size")
         # the product of the non-zero member CDFs, and how many are still 0
         cdfs = [0] * len(forms)
         p, zeros, mix = 1, len(forms), 0
-        prod_nums, mix_nums = [], []
-        for x in xs:
-            for i, m, wm in jumps[x]:
-                old = cdfs[i]
-                new = cdfs[i] = old + m
-                mix += wm
-                if old:
-                    p = p // old * new
-                else:
-                    p *= new
-                    zeros -= 1
-            prod_nums.append(0 if zeros else p)
-            mix_nums.append(mix)
+        xs, prod_nums, mix_nums = [], [], []
+        for (x, i, m, wm), close in zip(jumps, closes):
+            old = cdfs[i]
+            new = cdfs[i] = old + m
+            mix += wm
+            if old:
+                p = p // old * new
+            else:
+                p *= new
+                zeros -= 1
+            if close:
+                xs.append(x)
+                prod_nums.append(0 if zeros else p)
+                mix_nums.append(mix)
         return cls(scale, tuple(xs),
                    (tuple(prod_nums), math.prod(f.den for f in forms)),
                    (tuple(mix_nums), len(forms) * common))
@@ -554,8 +605,9 @@ class Assembly(Frozen):
         """The distribution of the maximum of the members: the product row's jumps."""
         t = self.table
         nums, den = t.product
+        k = len(t.xs)
         return FiniteDistribution.from_ratios(
-            ((x, t.scale), (w, den)) for x, w in zip(t.xs, jump_weights(nums, 1)))
+            t.xs, [t.scale] * k, list(jump_weights(nums, 1)), [den] * k)
 
     def mixture(self) -> FiniteDistribution:
         """The equally-weighted probability mixture of the members."""
@@ -593,17 +645,17 @@ def discretize(cdf: CdfEvaluator, m: int) -> FiniteDistribution:
     land exactly on atoms of discrete inputs.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise PreconditionError(f"grid level m must be an integer >= 1, got {m!r}")
+        raise PreconditionError(f"grid level m must be an integer >= 1, got {_shown(m)}")
     if m >= DEFAULT_ATOM_CAP.bit_length():  # 2**m alone exceeds the cap
         raise ResourceCapExceeded(
-            f"grid level m = {clip(_int_str(m))} needs m * 2**m + 1 atoms, "
+            f"grid level m = {_shown(m)} needs m * 2**m + 1 atoms, "
             f"over the cap {DEFAULT_ATOM_CAP}")
     cells = m * 2**m
     check_cap(cells + 1, "discretization atom count")
     at_zero = cdf(_ZERO, "left")
     if at_zero != 0:
         raise PreconditionError(
-            f"evaluator has mass {at_zero} below 0; not a distribution on [0, inf)"
+            f"evaluator has mass {_shown(at_zero)} below 0; not a distribution on [0, inf)"
         )
     step = Fraction(1, 2**m)
     pairs = []

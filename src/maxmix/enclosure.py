@@ -48,7 +48,7 @@ class Enclosure(Frozen):
         if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
             raise TypeError("enclosure endpoints must be Fractions")
         if lo > hi:
-            raise PreconditionError(f"empty enclosure: [{lo}, {hi}]")
+            raise PreconditionError(f"empty enclosure: [{_shown(lo)}, {_shown(hi)}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -136,7 +136,7 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     power, which the first case has already returned.
     """
     if x < 0:
-        raise PreconditionError(f"cannot take an n-th root of a negative value: {x}")
+        raise PreconditionError(f"cannot take an n-th root of a negative value: {_shown(x)}")
     if n < 1:
         raise PreconditionError("root order must be >= 1")
     if n == 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import performance_bounds
-from .dist import Assembly, FiniteDistribution, as_rational
+from .dist import Assembly, FiniteDistribution, _shown, as_rational
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
@@ -58,7 +58,7 @@ class ExtremalSpec(_ExtremalFields):
         if any(x > y for x, y in zip(ms, ms[1:])):
             raise PreconditionError("target similar means must be ascending")
         if closeness <= 0:
-            raise PreconditionError(f"closeness must be positive, got {closeness}")
+            raise PreconditionError(f"closeness must be positive, got {_shown(closeness)}")
         if p_schedule is not None:
             p_schedule = tuple(as_rational(p) for p in p_schedule)
             if len(p_schedule) != len(ms) - 1:
@@ -81,7 +81,7 @@ class ExtremalSpec(_ExtremalFields):
 def theta_sup(n: int) -> Fraction:
     """Supremum of the mixing factor over equal-target assemblies: 2 - 1/n."""
     if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"assembly size must be an integer >= 1, got {n!r}")
+        raise PreconditionError(f"assembly size must be an integer >= 1, got {_shown(n)}")
     return 2 - Fraction(1, n)
 
 
@@ -115,13 +115,13 @@ def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly
     ordered = all(x < y for x, y in zip(xs, xs[1:])) and (not xs or m_top < xs[0])
     if not ordered:
         raise PreconditionError(
-            f"zero masses {ps} do not order the non-zero values above the "
-            f"constant member: need {m_top} < " + " < ".join(map(str, xs))
+            f"zero masses {_shown(ps)} do not order the non-zero values "
+            f"{_shown(xs)} above the constant member {_shown(m_top)}"
         )
     a = Assembly(tuple(members))
     realized = a.similar_means()
     if realized != m_list:
-        raise InvariantViolation(f"similar means {realized} != targets {m_list}")
+        raise InvariantViolation(f"similar means {_shown(realized)} != targets {_shown(m_list)}")
     return a
 
 
@@ -148,5 +148,5 @@ def build(spec: ExtremalSpec) -> Assembly:
             return a
         delta *= _DELTA_SHRINK
     raise ResourceCapExceeded(
-        f"gap {spec.closeness} not reached within {_MAX_ROUNDS} tightening rounds"
+        f"gap {_shown(spec.closeness)} not reached within {_MAX_ROUNDS} tightening rounds"
     )

@@ -23,15 +23,16 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dist import Assembly
-from .errors import PreconditionError, ResourceCapExceeded
+from .dist import Assembly, _shown, check_cap
+from .errors import PreconditionError
 
 if TYPE_CHECKING:
     import numpy as np
 
+#: Upper bound on the work of one oracle call: outcomes enumerated, or Monte
+#: Carlo draws (samples times members).  Read at call time.
 DEFAULT_OUTCOME_CAP = 10**7
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,24 +52,23 @@ class McEstimate(NamedTuple):
 def enumerate_expected_max(a: Assembly) -> Fraction:
     """Exact E[X_max] by brute force over all support combinations.
 
-    Masses are scaled to per-member integer weights so the inner loop is
-    integer arithmetic; outcomes are streamed, never materialized.  More
-    than `DEFAULT_OUTCOME_CAP` (read at call time) are refused.
+    Values are scaled to integers over the lcm of all value denominators,
+    and masses to per-member integer weights, so the inner loop is integer
+    arithmetic; outcomes are streamed, never materialized.  More than
+    `DEFAULT_OUTCOME_CAP` (read at call time) are refused.
     """
-    sizes = [len(d.atoms) for d in a.members]
-    total_outcomes = reduce(lambda x, y: x * y, sizes, 1)
-    if total_outcomes > DEFAULT_OUTCOME_CAP:
-        raise ResourceCapExceeded(
-            f"{total_outcomes} outcomes exceed the cap {DEFAULT_OUTCOME_CAP}"
-        )
+    check_cap(math.prod(len(d.atoms) for d in a.members), "outcome count",
+              DEFAULT_OUTCOME_CAP)
+    vscale = math.lcm(*(v.denominator for d in a.members for v, _ in d.atoms))
     pools = []
     denom = 1
     for d in a.members:
         scale = math.lcm(*(m.denominator for m in d.masses))
         denom *= scale
-        pools.append([(v, int(m * scale)) for v, m in d.atoms])
+        pools.append([(v.numerator * (vscale // v.denominator), int(m * scale))
+                      for v, m in d.atoms])
 
-    acc: dict[Fraction, int] = {}
+    acc: dict[int, int] = {}
     for combo in itertools.product(*pools):
         weight = 1
         top = combo[0][0]
@@ -77,7 +77,7 @@ def enumerate_expected_max(a: Assembly) -> Fraction:
             if v > top:
                 top = v
         acc[top] = acc.get(top, 0) + weight
-    return sum((v * Fraction(w, denom) for v, w in acc.items()), Fraction(0))
+    return Fraction(sum(v * w for v, w in acc.items()), vscale * denom)
 
 
 def _splitmix_draws(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -115,14 +115,16 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
     chunking, fixed accumulation order.  stderr is the sample standard
     deviation over sqrt(samples).
     """
-    import numpy as np
-
     if not isinstance(samples, int) or samples < 2:
-        raise PreconditionError(f"need an integer samples >= 2, got {samples!r}")
+        raise PreconditionError(f"need an integer samples >= 2, got {_shown(samples)}")
     seed = int(seed)
     if not 0 <= seed <= _MASK:
-        raise PreconditionError(f"seed must lie in [0, 2**64), got {seed}")
+        raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
     n = a.n
+    check_cap(samples * n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
+
+    import numpy as np
+
     thresholds = [_thresholds(d) for d in a.members]
     try:
         values = [np.array([float(v) for v in d.values]) for d in a.members]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
-from .dist import Assembly, FiniteDistribution, _check_copy_count, as_rational
+from .dist import Assembly, FiniteDistribution, _check_copy_count, _shown, as_rational
 from .enclosure import DEFAULT_TOL, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
@@ -66,7 +66,7 @@ def _payoff_delta(d: FiniteDistribution, result: FiniteDistribution,
     """Check that the n-copy mean is unmoved; return E[result v Y] - E[d v Y]."""
     residual = result.similar_max_mean(n) - d.similar_max_mean(n)
     if residual != 0:
-        raise InvariantViolation(f"similar mean moved by {residual} in {op}")
+        raise InvariantViolation(f"similar mean moved by {_shown(residual)} in {op}")
     return (Assembly((result, companion)).expected_max()
             - Assembly((d, companion)).expected_max())
 
@@ -89,24 +89,24 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
     a = as_rational(a)
     b = as_rational(b)
     if not 0 <= a <= b:
-        raise PreconditionError(f"need 0 <= a <= b, got [{a}, {b}]")
+        raise PreconditionError(f"need 0 <= a <= b, got [{_shown(a)}, {_shown(b)}]")
     n = _check_copy_count(n)
     inside_mass = companion.cdf(b, "left") - companion.cdf(a)
     if inside_mass > 0:
         raise PreconditionError(
-            f"companion has mass {inside_mass} in ({a}, {b})"
+            f"companion has mass {_shown(inside_mass)} in ({_shown(a)}, {_shown(b)})"
         )
     inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n))
               if a <= v <= b]
     if not inside:
-        raise PreconditionError(f"distribution has no mass in [{a}, {b}]")
+        raise PreconditionError(f"distribution has no mass in [{_shown(a)}, {_shown(b)}]")
     p = sum((m for _, m, _ in inside), _ZERO)
     x = sum(v * w for v, _, w in inside) / sum(w for _, _, w in inside)
     cond_mean = sum((v * m for v, m, _ in inside), _ZERO) / p
     if not (a <= x <= b) or x < cond_mean:
         raise InvariantViolation(
-            f"coalesced atom {x} escaped [{a}, {b}] or fell below the "
-            f"conditional mean {cond_mean}"
+            f"coalesced atom {_shown(x)} escaped [{_shown(a)}, {_shown(b)}] or fell "
+            f"below the conditional mean {_shown(cond_mean)}"
         )
 
     outside = [(v, m) for v, m in d.atoms if v < a or v > b]
@@ -116,8 +116,8 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
     certificate = p * companion.cdf(a) * (x - cond_mean)
     if e_delta != certificate or e_delta < 0:
         raise InvariantViolation(
-            f"coalesce payoff certificate failed: delta {e_delta}, "
-            f"closed form {certificate}"
+            f"coalesce payoff certificate failed: delta {_shown(e_delta)}, "
+            f"closed form {_shown(certificate)}"
         )
     return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
 
@@ -149,13 +149,14 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     l = as_rational(l)
     r = as_rational(r)
     if not 0 <= l < r:
-        raise PreconditionError(f"need 0 <= l < r, got ({l}, {r})")
+        raise PreconditionError(f"need 0 <= l < r, got ({_shown(l)}, {_shown(r)})")
     n = _check_copy_count(n)
     inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n))
               if l < v < r]
     if len(inside) != 2:
         raise PreconditionError(
-            f"mass in ({l}, {r}) must sit on exactly two atoms, found {len(inside)}"
+            f"mass in ({_shown(l)}, {_shown(r)}) must sit on exactly two atoms, "
+            f"found {len(inside)}"
         )
     (av, p, w_a), (bv, q, w_b) = inside
     lam = Fraction(w_a, w_b)
@@ -178,7 +179,8 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
             companion_between = g(bv, "left") - g(av)
             if companion_between > 0 and slope_omega <= 0:
                 raise InvariantViolation(
-                    f"payoff slope {slope_omega} not positive at merge point {omega}"
+                    f"payoff slope {_shown(slope_omega)} not positive at merge point "
+                    f"{_shown(omega)}"
                 )
         moved = [(omega, p + q)]
 
@@ -188,11 +190,12 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     strictly_inside = [v for v in result.values if l < v < r]
     if len(strictly_inside) > 1:
         raise InvariantViolation(
-            f"{len(strictly_inside)} atoms remain strictly inside ({l}, {r})"
+            f"{len(strictly_inside)} atoms remain strictly inside "
+            f"({_shown(l)}, {_shown(r)})"
         )
     e_delta = _payoff_delta(d, result, companion, n, "reduce_pair")
     if e_delta < 0:
-        raise InvariantViolation(f"reduce_pair decreased the payoff by {-e_delta}")
+        raise InvariantViolation(f"reduce_pair decreased the payoff by {_shown(-e_delta)}")
     return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
 
 
@@ -209,9 +212,9 @@ def phi(u, v, p, n: int) -> Fraction:
     v = as_rational(v)
     p = as_rational(p)
     if not 0 <= p <= 1:
-        raise PreconditionError(f"p must lie in [0, 1], got {p}")
+        raise PreconditionError(f"p must lie in [0, 1], got {_shown(p)}")
     if v > u:
-        raise PreconditionError(f"payoff curve needs v <= u, got v={v} > u={u}")
+        raise PreconditionError(f"payoff curve needs v <= u, got v={_shown(v)} > u={_shown(u)}")
     n = _check_copy_count(n)
     if p == 1:
         return u + v / n
@@ -237,12 +240,12 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
     lo = as_rational(lo)
     hi = as_rational(hi)
     if not 0 <= lo < hi:
-        raise PreconditionError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+        raise PreconditionError(f"need 0 <= lo < hi, got [{_shown(lo)}, {_shown(hi)}]")
     tol = as_tolerance(tol)
     n = a.n
     for i, d in enumerate(a.members):
         if d.cdf(hi) == 0:
-            raise PreconditionError(f"member {i} has no mass at or below {hi}")
+            raise PreconditionError(f"member {i} has no mass at or below {_shown(hi)}")
 
     span = hi - lo
     root_tol = tol / (4 * n * n * max(span, _ONE))
@@ -268,7 +271,8 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
         slack = alpha_enc.radius / p_int
         if alpha < -slack or alpha > 1 + slack:
             raise InvariantViolation(
-                f"endpoint share {alpha} escaped [0, 1] beyond radius {slack}"
+                f"endpoint share {_shown(alpha)} escaped [0, 1] beyond radius "
+                f"{_shown(slack)}"
             )
         alpha = min(max(alpha, _ZERO), _ONE)
 
@@ -284,7 +288,7 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
     for i, (res, member) in enumerate(zip(residuals, result.members)):
         if abs(res) > tol:
             raise InvariantViolation(
-                f"member {i} similar mean drifted by {res}, beyond {tol}"
+                f"member {i} similar mean drifted by {_shown(res)}, beyond {_shown(tol)}"
             )
         if any(lo < v < hi for v in member.values):
             raise InvariantViolation(f"member {i} kept mass strictly inside")
@@ -292,7 +296,7 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
     e_delta = result.expected_max() - a.expected_max()
     if e_delta > tol:
         raise InvariantViolation(
-            f"down projection increased the expected max by {e_delta}"
+            f"down projection increased the expected max by {_shown(e_delta)}"
         )
     return TransformOutcome(
         result, tuple(residuals), e_delta, _direction_of(e_delta), tuple(alphas)

@@ -1,15 +1,18 @@
 """Tests for the command line surface and the assembly file format."""
 
+import argparse
 import contextlib
 import io
 import random
+import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import FiniteDistribution, as_rational, extremal, full_report
@@ -537,3 +540,129 @@ def test_rendered_documents_read_back_and_verify(s, name, slack):
         assert _verify(path) == EXIT_OK
         below = fraction_str(a.support_max - F(1, 2))
         assert _verify(path, "--bound", below) == EXIT_PRECONDITION
+
+
+# ---------------------------------------------------------------------------
+# values of any size in refusals
+
+
+class TestValuesInRefusals:
+    """Every refusal quotes its values clipped, whatever their size."""
+
+    @pytest.mark.parametrize("op", ["down", "coalesce", "reduce"])
+    def test_interval_end_beyond_the_digit_limit(self, example_file, op):
+        code, err = _run_quietly(["transform", str(example_file), "--op", op,
+                                  "--lo", "1e5000", "--hi", "1"])
+        assert code == EXIT_PRECONDITION
+        assert "...(5001 chars)" in err and len(err) <= 200
+
+    def test_count_of_301_digits(self):
+        code, err = _run_quietly(["extremal", "--n", "1" + "0" * 300, "--equal", "1",
+                                  "--epsilon", "1"])
+        assert code in (EXIT_USAGE, EXIT_PRECONDITION)
+        assert len(err) <= 200
+
+    @pytest.mark.parametrize("argv, option", [
+        (["extremal", "--equal", "1", "--epsilon", "1"], "--n"),
+        (["verify", "{file}"], "--samples"),
+        (["verify", "{file}", "--samples", "2"], "--seed"),
+        (["transform", "{file}", "--op", "coalesce", "--lo", "0", "--hi", "1"], "--member"),
+        (["sweep", "--equal", "1", "--points", "1/2", "--out", "o.csv"], "--extremal-n"),
+    ], ids=["n", "samples", "seed", "member", "extremal-n"])
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "1" * 4999 + "x", "-" + "1" * 5000],
+                             ids=["huge", "bad-end", "negative"])
+    def test_integer_option_is_quoted_clipped(self, example_file, argv, option, value):
+        argv = [a.format(file=example_file) for a in argv] + [option, value]
+        code, err = _run_quietly(argv)
+        assert code in (EXIT_USAGE, EXIT_PRECONDITION)
+        assert value[:41] not in err and len(err) <= 200
+
+    @pytest.mark.parametrize("tok, want", [("12", 12), ("4/2", 2), ("1e3", 1000), ("+7", 7)])
+    def test_integer_option_reads_whole_rational_tokens(self, tok, want):
+        args = build_parser().parse_args(["extremal", "--n", tok, "--equal", "1",
+                                          "--epsilon", "1"])
+        assert args.n == want
+
+    @pytest.mark.parametrize("tok, message", [("1/2", "not an integer"), ("0", "must be >= 1")])
+    def test_integer_option_refuses_fractions_and_values_below_its_least(self, tok, message):
+        code, err = _run_quietly(["extremal", "--n", tok, "--equal", "1", "--epsilon", "1"])
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: argument --n: {message}")
+
+
+CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); from maxmix.cli import main; "
+         "code = main(sys.argv[2:]); print(code, 'numpy' in sys.modules)")
+
+
+def test_sample_count_beyond_the_cap_exits_before_numpy_loads(example_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["verify", str(example_file), "--samples", "1" + "0" * 30]
+    proc = subprocess.run([sys.executable, "-I", "-c", CHILD, str(src), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_PRECONDITION} False"
+    assert proc.stderr.startswith("error: Monte Carlo draw count") and len(proc.stderr) <= 200
+
+
+# ---------------------------------------------------------------------------
+# hostile option values
+
+
+HOSTILE = ["7" * 5000, "1" + "0" * 5000, "1e5000", "-1e5000", "-1", "+1", "0", "-0", "",
+           "٣", "1/0", "x"]
+BENIGN = ["1", "2", "3", "1/2", "3/4"]
+# mostly benign, so that most commands get past the parser to the hostile value
+option_values = st.one_of(*[st.sampled_from(BENIGN)] * 3, st.sampled_from(HOSTILE))
+LISTS = {"m_list", "p_schedule", "points"}
+
+
+def _commands():
+    """Each subcommand's actions, read from the parser itself."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+COMMANDS = _commands()
+
+
+@st.composite
+def argvs(draw, paths):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for action in COMMANDS[name]:
+        if not action.option_strings:
+            argv.append(paths["input"])
+            continue
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.choices:
+            value = draw(st.sampled_from(sorted(action.choices)))
+        elif action.dest in paths:
+            value = paths[action.dest]
+        elif action.dest in LISTS:
+            value = ",".join(draw(st.lists(option_values, min_size=1, max_size=3)))
+        else:
+            value = draw(option_values)
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def hostile_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("hostile")
+    (tmp / "pair.txt").write_text(EXAMPLE, encoding="utf-8")
+    (tmp / "template.txt").write_text("n: 2\nmember: 0:$p 1:$q\nmember: 0:1/2 1:1/2\n")
+    return {"input": str(tmp / "pair.txt"), "template": str(tmp / "template.txt"),
+            "out": str(tmp / "out.txt")}
+
+
+@seed(2_112_001)
+@settings(max_examples=300, deadline=timedelta(seconds=20),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_option_values_exit_cleanly(hostile_paths, data):
+    argv = data.draw(argvs(hostile_paths))
+    code, err = _run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION), (argv, err)
+    assert all(len(line) <= 200 for line in err.splitlines()), err[:400]

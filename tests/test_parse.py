@@ -1,11 +1,12 @@
 """Tests of the member parser of the assembly file format.
 
 Tokens of the form "a" and "a/b" are read straight to integers; every other
-form goes through `Fraction`.  The differential test checks that the parser
+form goes through `Fraction`.  The differential tests check that the parser
 accepts and refuses exactly what `FiniteDistribution.from_pairs` does on
-`Fraction(token)`, with the same atoms and the same messages.  A second
-property checks that a file, a CLI option and `as_rational` read every
-token alike.
+`Fraction(token)`, with the same atoms and the same messages: on short
+lines of every token form, and on longer lines of mostly digit tokens,
+sorted, unsorted or with a repeated value.  A further property checks that
+a file, a CLI option and `as_rational` read every token alike.
 """
 
 import sys
@@ -44,6 +45,10 @@ class TestBadMembers:
         ("0:1/2 1:1/0", "bad rational '1/0'"),
         ("0:1/2 x:1/2", "bad rational 'x'"),
         ("0:1/2 1", "member 1: expected value:mass, got '1'"),
+        # the first fault in token order is the one reported
+        ("0:1/2 x:1/2 1", "bad rational 'x'"),
+        ("0:1/2 1 x:1/2", "member 1: expected value:mass, got '1'"),
+        ("0:1/2 1:1:1/2 x:0", "member 1: expected value:mass, got '1:1:1/2'"),
     ])
     def test_refused_with_exit_1(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.txt"
@@ -174,6 +179,46 @@ def _parsed(pairs):
 def test_parser_matches_fraction_and_from_pairs(pairs):
     # long tokens are plain digits here: other long forms go through
     # Fraction, which the interpreter's digit limit still refuses
+    kind, got = _parsed(pairs)
+    want_kind, want = _reference(pairs)
+    assert kind == want_kind
+    if kind != "refused" or all(len(word) <= 40 for word in want.split()):
+        assert got == want
+    else:
+        assert len(got) < 200
+
+
+digit = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds("{}/{}".format, st.integers(0, 40), st.integers(1, 8)),
+)
+huge = st.sampled_from(["7" * LONG, "1" + "0" * LONG, f"{'3' * LONG}/{'1' * LONG}"])
+
+
+@st.composite
+def digit_lines(draw):
+    """Lines of mostly digit tokens: sorted, unsorted or with a repeated value,
+    sometimes with a 5000-digit token or one token of another form."""
+    size = draw(st.integers(1, 12))
+    values = sorted(set(draw(st.lists(digit, min_size=size, max_size=size))), key=F)
+    order = draw(st.sampled_from(["sorted", "shuffled", "repeated"]))
+    if order == "shuffled":
+        values = draw(st.permutations(values))
+    elif order == "repeated":
+        values = values + [draw(st.sampled_from(values))]
+    words = values + draw(composition(len(values)))
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.one_of(tokens, huge))
+        words[draw(st.integers(0, len(words) - 1))] = other
+    return list(zip(words[:len(values)], words[len(values):]))
+
+
+@seed(1_105_116)
+@settings(max_examples=400, deadline=None)
+@given(digit_lines())
+def test_digit_lines_match_fraction_and_from_pairs(pairs):
+    # the reader's integer loop and the Fraction path it falls back to must
+    # agree with Fraction(token) on every line, whatever the token mix
     kind, got = _parsed(pairs)
     want_kind, want = _reference(pairs)
     assert kind == want_kind

@@ -123,9 +123,9 @@ def test_integer_forms_match_the_atoms(a):
         assert d.atoms == tuple((F(x, f.scale), F(m, f.den))
                                 for x, m in zip(f.values, f.masses))
         assert FiniteDistribution(d.atoms).form == f
-        unreduced = [((3 * x, 3 * f.scale), (2 * m, 2 * f.den))
+        unreduced = [(3 * x, 3 * f.scale, 2 * m, 2 * f.den)
                      for x, m in zip(f.values, f.masses)]
-        assert FiniteDistribution.from_ratios(reversed(unreduced)).form == f
+        assert FiniteDistribution.from_ratios(*zip(*reversed(unreduced))).form == f
     t = a.table
     assert tuple(F(x, t.scale) for x in t.xs) == support_grid(a)
     # each member's one-member table, read as a step function, gives its
@@ -216,8 +216,8 @@ def _builds(d):
     return (
         FiniteDistribution(d.atoms),
         FiniteDistribution.from_pairs(reversed(d.atoms)),
-        FiniteDistribution.from_ratios(((x, f.scale), (m, f.den))
-                                       for x, m in zip(f.values, f.masses)),
+        FiniteDistribution.from_ratios(f.values, [f.scale] * len(f.values),
+                                       f.masses, [f.den] * len(f.masses)),
     )
 
 
