@@ -12,8 +12,9 @@ Values and masses are exact rationals written as "3/7", "5" or "0.125"
 (decimal strings convert exactly).  Integers and "a/b" tokens may have any
 number of digits; other forms are limited to the interpreter's integer
 string limit (4300 digits by default).  Rational option values follow the
-same rules, and so do integer option values, which must be whole.  Rendering is canonical, so parse(render(doc)) == doc for every
-valid document.
+same rules, and so do integer option values, which must be whole.
+Rendering is canonical, so parse(render(doc)) == doc for every valid
+document.
 
 Exit codes: 0 all checks pass, 1 usage or parse error, 2 precondition
 violation or size cap (including skipped sweep points), 3 internal
@@ -35,6 +36,7 @@ from . import bounds, extremal, oracle, transforms
 from .dist import (
     Assembly,
     FiniteDistribution,
+    _ratio,
     _ratios,
     _shown,
     as_rational,
@@ -228,6 +230,8 @@ def _check_line(label: str, ok: bool | None) -> None:
 
 def cmd_verify(args) -> int:
     doc = parse_assembly_file(args.input)
+    if args.samples is not None:  # refuse a bad Monte Carlo request before the chain
+        oracle.check_mc_request(doc.assembly, args.samples, args.seed)
     b = args.bound if args.bound is not None else doc.bound
     report = bounds.full_report(doc.assembly, b=b, tol=args.tol)
 
@@ -466,7 +470,7 @@ def _int_arg(least: int | None = None):
     """
     def read(tok: str) -> int:
         try:
-            (num,), (den,) = _ratios((tok,))
+            num, den = _ratio(tok)
         except ValueError:
             den = 0
         if not den or num % den:

@@ -59,15 +59,14 @@ def as_rational(x) -> Fraction:
     """Exact conversion to Fraction.
 
     Accepts Fraction, int and strings like "3/7", "0.125" or "1e-3", which
-    are read by the assembly file's token rules (`_ratios`).  Floats are
+    are read by the assembly file's token rules (`_ratio`).  Floats are
     rejected: a float argument almost always means the caller has already
     lost exactness, and this library cannot restore it.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        (num,), (den,) = _ratios((x,))
-        return Fraction(num, den)
+        return Fraction(*_ratio(x))
     if isinstance(x, bool):
         raise TypeError("booleans are not rational values")
     if isinstance(x, float):
@@ -113,18 +112,41 @@ def clip(text: str) -> str:
     return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}...({len(text)} chars)"
 
 
+def _lead_digits(k: int) -> str:
+    """Text as long as `_int_str(k)` that agrees with it in the first
+    `_ECHO_CAP` characters, which is all that `clip` shows of a long value.
+
+    Integers past the default digit limit keep their leading digits and end
+    in zeros: an exact decimal conversion of a 10**6-digit integer takes
+    seconds, while cutting it takes one power of ten.
+    """
+    if k < 0:
+        return "-" + _lead_digits(-k)
+    if k.bit_length() <= 3 * 4300:
+        return _int_str(k)
+    cut = int((k.bit_length() - 1) * _LOG10_2) - 2 * _ECHO_CAP  # k has > cut + 80 digits
+    return _int_str(k // 10**cut) + "0" * cut
+
+
+def _lead_str(x: Fraction) -> str:
+    """`fraction_str` written with `_lead_digits`."""
+    if x.denominator == 1:
+        return _lead_digits(x.numerator)
+    return f"{_lead_digits(x.numerator)}/{_lead_digits(x.denominator)}"
+
+
 def _shown(x) -> str:
     """A value for an error message, clipped.
 
     Every value a refusal quotes goes through here.  Integers and rationals
-    are written exactly by `fraction_str`, since ``str`` raises on integers
-    beyond the interpreter's digit limit; a tuple or list of them is joined
-    with commas; anything else is shown by its repr.
+    are written by `_lead_str`, since ``str`` raises on integers beyond the
+    interpreter's digit limit; a tuple or list of them is joined with
+    commas; anything else is shown by its repr.
     """
     if isinstance(x, (tuple, list)):
-        text = ", ".join(map(fraction_str, x))
+        text = ", ".join(map(_lead_str, x))
     elif isinstance(x, (int, Fraction)):
-        text = fraction_str(x)
+        text = _lead_str(x)
     else:
         text = repr(x)
     return clip(text)
@@ -142,8 +164,8 @@ def _digits_int(s: str) -> int:
 def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
     """Rational tokens as two integer columns: numerators, and positive denominators.
 
-    The one reader of rational text: the parser reads a member line by it
-    and `as_rational` one token.  "a" and "a/b" in ASCII digits convert
+    The one reader of rational text: the parser reads a member line by it,
+    and `_ratio` is its one-token case.  "a" and "a/b" in ASCII digits convert
     straight to integers of any length in this loop; every other form goes
     through `Fraction`.  A refusal is a `ValueError` quoting at most
     `clip(tok)`.
@@ -172,6 +194,12 @@ def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
         nums.append(x.numerator)
         dens.append(x.denominator)
     return nums, dens
+
+
+def _ratio(tok: str) -> tuple[int, int]:
+    """A rational token as ``(numerator, denominator)``, read by `_ratios`."""
+    (num,), (den,) = _ratios((tok,))
+    return num, den
 
 
 def check_cap(count: int, what: str, cap: int | None = None) -> None:

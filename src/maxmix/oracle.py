@@ -108,6 +108,21 @@ def _thresholds(d) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
+def check_mc_request(a: Assembly, samples: int, seed: int) -> int:
+    """Refuse a Monte Carlo request that `mc_expected_max` would refuse; return the seed.
+
+    An integer ``samples >= 2``, a seed in [0, 2**64), and at most
+    `DEFAULT_OUTCOME_CAP` draws (samples times members).
+    """
+    if not isinstance(samples, int) or samples < 2:
+        raise PreconditionError(f"need an integer samples >= 2, got {_shown(samples)}")
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
+    check_cap(samples * a.n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
+    return seed
+
+
 def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
     """Seeded Monte Carlo estimate of E[X_max] with its standard error.
 
@@ -115,13 +130,8 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
     chunking, fixed accumulation order.  stderr is the sample standard
     deviation over sqrt(samples).
     """
-    if not isinstance(samples, int) or samples < 2:
-        raise PreconditionError(f"need an integer samples >= 2, got {_shown(samples)}")
-    seed = int(seed)
-    if not 0 <= seed <= _MASK:
-        raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
+    seed = check_mc_request(a, samples, seed)
     n = a.n
-    check_cap(samples * n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
 
     import numpy as np
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction as F
 from pathlib import Path
@@ -28,6 +29,7 @@ from maxmix.cli import (
     parse_assembly_text,
     render_assembly,
 )
+from maxmix.dist import _shown, clip
 
 from genutil import random_assembly
 
@@ -577,6 +579,20 @@ class TestValuesInRefusals:
         assert code in (EXIT_USAGE, EXIT_PRECONDITION)
         assert value[:41] not in err and len(err) <= 200
 
+    @pytest.mark.parametrize("bits", [12_899, 12_901, 20_000, 60_000])
+    def test_long_values_are_shown_as_clip_of_their_exact_text(self, bits):
+        rng = random.Random(bits)
+        k = rng.getrandbits(bits) | 1 << bits - 1
+        for x in (k, -k, F(k, 3), F(5, k), F(-k, k + 2), (F(1, 2), -k), 10**3884 - 1):
+            text = ", ".join(map(fraction_str, x)) if isinstance(x, tuple) else fraction_str(x)
+            assert _shown(x) == clip(text)
+
+    def test_a_million_digit_value_is_shown_without_its_full_text(self):
+        # the exact decimal text of 10**10**6 takes seconds; its clip does not
+        start = time.perf_counter()
+        assert _shown(10**10**6 + 7) == "1" + "0" * 39 + "...(1000001 chars)"
+        assert time.perf_counter() - start < 4
+
     @pytest.mark.parametrize("tok, want", [("12", 12), ("4/2", 2), ("1e3", 1000), ("+7", 7)])
     def test_integer_option_reads_whole_rational_tokens(self, tok, want):
         args = build_parser().parse_args(["extremal", "--n", tok, "--equal", "1",
@@ -599,7 +615,8 @@ def test_sample_count_beyond_the_cap_exits_before_numpy_loads(example_file):
     argv = ["verify", str(example_file), "--samples", "1" + "0" * 30]
     proc = subprocess.run([sys.executable, "-I", "-c", CHILD, str(src), *argv],
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_PRECONDITION} False"
+    # refused before the chain is computed, so nothing else reaches standard output
+    assert proc.stdout.splitlines() == [f"{EXIT_PRECONDITION} False"]
     assert proc.stderr.startswith("error: Monte Carlo draw count") and len(proc.stderr) <= 200
 
 
