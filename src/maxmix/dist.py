@@ -130,9 +130,8 @@ def _lead_digits(k: int) -> str:
 
 def _lead_str(x: Fraction) -> str:
     """`fraction_str` written with `_lead_digits`."""
-    if x.denominator == 1:
-        return _lead_digits(x.numerator)
-    return f"{_lead_digits(x.numerator)}/{_lead_digits(x.denominator)}"
+    den = x.denominator
+    return _lead_digits(x.numerator) + (f"/{_lead_digits(den)}" if den != 1 else "")
 
 
 def _shown(x) -> str:
