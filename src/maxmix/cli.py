@@ -24,7 +24,7 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
-import math
+import decimal
 import re
 import sys
 from fractions import Fraction
@@ -70,13 +70,17 @@ class AssemblyDocument(NamedTuple):
 
 #: significant digits of the decimal column next to each exact value
 _SIG_DIGITS = 15
+#: rounds the off-float-range values of that column, with no exponent limit
+_OFF_RANGE = decimal.Context(prec=_SIG_DIGITS, rounding=decimal.ROUND_HALF_EVEN,
+                             Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def decimal_str(x) -> str:
     """x to 15 significant digits, as ``'%.15g'`` prints it.
 
     Values outside the range of normal floats are rounded exactly on the
-    rational instead, half to even, rather than overflowing or flushing to 0.
+    rational instead, half to even, rather than overflowing or flushing to 0:
+    `decimal` division is correctly rounded.
     """
     try:
         f = float(x)
@@ -86,21 +90,8 @@ def decimal_str(x) -> str:
         if abs(f) >= sys.float_info.min or x == 0:
             return f"{f:.{_SIG_DIGITS}g}"
     x = as_rational(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    exp = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
-    while Fraction(10) ** exp > x:
-        exp -= 1
-    while Fraction(10) ** (exp + 1) <= x:
-        exp += 1
-    digits = round(x / Fraction(10) ** (exp - _SIG_DIGITS + 1))
-    if digits == 10**_SIG_DIGITS:
-        digits //= 10
-        exp += 1
-    head, tail = divmod(digits, 10 ** (_SIG_DIGITS - 1))
-    tail = str(tail).zfill(_SIG_DIGITS - 1).rstrip("0")
-    mantissa = f"{head}.{tail}" if tail else str(head)
-    return f"{sign}{mantissa}e{'+' if exp >= 0 else '-'}{abs(exp):02d}"
+    q = _OFF_RANGE.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return format(_OFF_RANGE.normalize(q), f".{_SIG_DIGITS}g")
 
 
 def parse_assembly_text(text: str) -> AssemblyDocument:

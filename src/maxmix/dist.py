@@ -160,14 +160,20 @@ def _digits_int(s: str) -> int:
         return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
 
 
+#: largest exponent magnitude a token may carry: "1e100000" has 100 001 digits,
+#: while `Fraction` would spend seconds building 10**(10**7) for "1e10000000"
+_MAX_EXPONENT = 10**5
+
+
 def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
     """Rational tokens as two integer columns: numerators, and positive denominators.
 
     The one reader of rational text: the parser reads a member line by it,
     and `_ratio` is its one-token case.  "a" and "a/b" in ASCII digits convert
     straight to integers of any length in this loop; every other form goes
-    through `Fraction`.  A refusal is a `ValueError` quoting at most
-    `clip(tok)`.
+    through `Fraction` once its exponent, if any, is known to be at most
+    `_MAX_EXPONENT` (10**5) in magnitude.  A refusal is a `ValueError`
+    quoting at most `clip(tok)`.
     """
     nums, dens = [], []
     known = {"": 1}  # denominators repeat along a line; "" is a token without "/"
@@ -185,7 +191,11 @@ def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
                 nums.append(a)
                 dens.append(b)
                 continue
+        e, exp = tok.upper().rpartition("E")[1:]
+        exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
         try:
+            if e and exp.isdecimal() and (len(exp) > 6 or int(exp) > _MAX_EXPONENT):
+                raise ValueError(f"exponent magnitude above {_MAX_EXPONENT}")
             x = Fraction(tok)
         except (ValueError, ZeroDivisionError) as exc:
             detail = str(exc).replace(tok, clip(tok))
@@ -292,6 +302,15 @@ class IntegerForm(NamedTuple):
         return cls(scale, tuple(values), den, tuple(masses))
 
 
+def _long_repr(x) -> str:
+    """``repr(x)``, with integers and Fractions of any length written by `_int_str`."""
+    if type(x) is tuple:
+        return f"({', '.join(map(_long_repr, x))}{',' * (len(x) == 1)})"
+    if isinstance(x, Fraction):
+        return f"Fraction({_int_str(x.numerator)}, {_int_str(x.denominator)})"
+    return _int_str(x) if type(x) is int else repr(x)
+
+
 class Frozen:
     """A value type: frozen, and equal, hashed and shown by its ``_fields``.
 
@@ -317,7 +336,7 @@ class Frozen:
         return hash(self._key())
 
     def __repr__(self):
-        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        inner = ", ".join(f"{f}={_long_repr(getattr(self, f))}" for f in self._fields)
         return f"{type(self).__name__}({inner})"
 
     def __setattr__(self, name, value):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Frozen, _shown, as_rational
+from .dist import Frozen, _shown, as_rational, fraction_str
 from .errors import PreconditionError
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -98,9 +98,8 @@ class Enclosure(Frozen):
         return Enclosure(self.hi * f, self.lo * f)
 
     def __repr__(self):
-        if self.is_exact:
-            return f"Enclosure({self.lo})"
-        return f"Enclosure({self.lo}, {self.hi})"
+        ends = (self.lo,) if self.is_exact else (self.lo, self.hi)
+        return f"Enclosure({', '.join(map(fraction_str, ends))})"
 
 
 def int_nth_root(x: int, n: int) -> tuple[int, bool]:

@@ -1,8 +1,8 @@
 """Independent ground truth: exhaustive enumeration and seeded Monte Carlo.
 
 `enumerate_expected_max` walks the full product space of member supports and
-must agree with the jump-sum path exactly; the two computations
-share no code beyond the distribution type, which is what makes the check
+must agree with the jump-sum path exactly; the two computations share no
+code beyond the members' stored integer form, which is what makes the check
 worth running.  `mc_expected_max` is a reproducible sampling estimate for
 eyeballing and cross-language comparison.
 
@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dist import Assembly, _shown, check_cap
+from .dist import Assembly, IntegerForm, _shown, check_cap
 from .errors import PreconditionError
 
 if TYPE_CHECKING:
@@ -52,21 +52,16 @@ class McEstimate(NamedTuple):
 def enumerate_expected_max(a: Assembly) -> Fraction:
     """Exact E[X_max] by brute force over all support combinations.
 
-    Values are scaled to integers over the lcm of all value denominators,
-    and masses to per-member integer weights, so the inner loop is integer
-    arithmetic; outcomes are streamed, never materialized.  More than
-    `DEFAULT_OUTCOME_CAP` (read at call time) are refused.
+    Reads each member's integer form: values brought to the lcm of the value
+    scales, masses over the member's own denominator, so the inner loop is
+    integer arithmetic; outcomes are streamed, never materialized.  More
+    than `DEFAULT_OUTCOME_CAP` (read at call time) are refused.
     """
-    check_cap(math.prod(len(d.atoms) for d in a.members), "outcome count",
-              DEFAULT_OUTCOME_CAP)
-    vscale = math.lcm(*(v.denominator for d in a.members for v, _ in d.atoms))
-    pools = []
-    denom = 1
-    for d in a.members:
-        scale = math.lcm(*(m.denominator for m in d.masses))
-        denom *= scale
-        pools.append([(v.numerator * (vscale // v.denominator), int(m * scale))
-                      for v, m in d.atoms])
+    forms = [d.form for d in a.members]
+    check_cap(math.prod(len(f.values) for f in forms), "outcome count", DEFAULT_OUTCOME_CAP)
+    vscale = math.lcm(*(f.scale for f in forms))
+    pools = [[(v * (vscale // f.scale), m) for v, m in zip(f.values, f.masses)]
+             for f in forms]
 
     acc: dict[int, int] = {}
     for combo in itertools.product(*pools):
@@ -77,7 +72,7 @@ def enumerate_expected_max(a: Assembly) -> Fraction:
             if v > top:
                 top = v
         acc[top] = acc.get(top, 0) + weight
-    return Fraction(sum(v * w for v, w in acc.items()), vscale * denom)
+    return Fraction(sum(v * w for v, w in acc.items()), vscale * math.prod(f.den for f in forms))
 
 
 def _splitmix_draws(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -90,22 +85,16 @@ def _splitmix_draws(seed: int, counters: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _thresholds(d) -> np.ndarray:
+def _thresholds(f: IntegerForm) -> np.ndarray:
     """Integer inverse-CDF thresholds: draw k picks the first j with k <= T[j].
 
-    T[j] = ceil(cum_j * 2**53) - 1, computed exactly from the rational
-    cumulative masses.
+    T[j] = ceil(cum_j * 2**53) - 1, which over the integer cumulative masses
+    c_j is ((c_j << 53) - 1) // den.
     """
     import numpy as np
 
-    out = []
-    cum = Fraction(0)
-    for _, m in d.atoms:
-        cum += m
-        scaled = cum * (1 << 53)
-        ceil = -((-scaled.numerator) // scaled.denominator)
-        out.append(ceil - 1)
-    return np.array(out, dtype=np.uint64)
+    return np.array([((c << 53) - 1) // f.den for c in itertools.accumulate(f.masses)],
+                    dtype=np.uint64)
 
 
 def check_mc_request(a: Assembly, samples: int, seed: int) -> int:
@@ -135,9 +124,10 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
 
     import numpy as np
 
-    thresholds = [_thresholds(d) for d in a.members]
-    try:
-        values = [np.array([float(v) for v in d.values]) for d in a.members]
+    forms = [d.form for d in a.members]
+    thresholds = [_thresholds(f) for f in forms]
+    try:  # integer true division rounds correctly, as float(Fraction) does
+        values = [np.array([v / f.scale for v in f.values]) for f in forms]
     except OverflowError:
         raise PreconditionError(
             "Monte Carlo needs every support value within float range"

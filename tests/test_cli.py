@@ -3,7 +3,9 @@
 import argparse
 import contextlib
 import io
+import math
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -132,6 +134,46 @@ def _primes_above(start: int, count: int) -> list[int]:
     return found
 
 
+def _decimal_reference(x: F) -> str:
+    """The decimal column's earlier off-float-range rounding, kept as a reference:
+    the decimal exponent found by log10 and corrected, then 15 digits by
+    ``round`` (half to even) on the exact rational, carrying into the exponent.
+    """
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    exp = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while F(10) ** exp > x:
+        exp -= 1
+    while F(10) ** (exp + 1) <= x:
+        exp += 1
+    digits = round(x / F(10) ** (exp - 14))
+    if digits == 10**15:
+        digits //= 10
+        exp += 1
+    head, tail = divmod(digits, 10**14)
+    tail = str(tail).zfill(14).rstrip("0")
+    mantissa = f"{head}.{tail}" if tail else str(head)
+    return f"{sign}{mantissa}e{'+' if exp >= 0 else '-'}{abs(exp):02d}"
+
+
+def _off_float_range(rng: random.Random) -> F:
+    """A rational that overflows a float or falls below the normal floats."""
+    kind = rng.randrange(5)
+    e = rng.randint(309, 999) if rng.random() < 0.8 else rng.randint(1000, 2999)
+    if kind == 0:  # up to 36 digits over up to 36 digits
+        x = F(rng.getrandbits(rng.randint(1, 120)) + 1, rng.getrandbits(rng.randint(1, 120)) + 1)
+        x *= F(10) ** rng.choice((e + 40, -e - 40))
+    elif kind == 1:  # half-way between two 15-digit neighbours
+        x = F(rng.randrange(10**14, 10**15) * 10 + 5) * F(10) ** rng.choice((e, -e - 30))
+    elif kind == 2:  # rounds up to the next power of ten
+        x = F(10**16 - rng.randint(1, 5)) * F(10) ** rng.choice((e, -e - 30))
+    elif kind == 3:  # subnormal floats, and values below them
+        x = F(rng.randint(1, 2**52), 2**1074) / rng.choice((1, 10**rng.randint(1, 40)))
+    else:  # just past the largest float
+        x = F(2**1024) * rng.randint(1, 10**6) + F(rng.getrandbits(64) + 1, rng.getrandbits(8) + 1)
+    return -x if rng.random() < 0.5 else x
+
+
 class TestLongAndHugeValues:
     def test_exact_values_beyond_the_digit_limit(self, tmp_path, capsys):
         # 30 coprime mass denominators of 7 digits: the mixture bound's
@@ -180,6 +222,13 @@ class TestLongAndHugeValues:
         # exact ties round half to even
         assert decimal_str(F(1234567890123425, 10**14) * F(10) ** 400) == "1.23456789012342e+401"
         assert decimal_str(F(999999999999999500, 10**17) * F(10) ** 400) == "1e+401"
+
+    def test_decimal_str_off_float_range_agrees_with_the_reference(self):
+        rng = random.Random(22)
+        for _ in range(30_000):
+            x = _off_float_range(rng)
+            assert abs(x) >= 2**1024 or abs(x) < F(sys.float_info.min), x
+            assert decimal_str(x) == _decimal_reference(x), x
 
     def test_verify_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
@@ -436,6 +485,38 @@ class TestLongOptionValues:
         assert value[:41] not in err and len(err) < 200
 
 
+class TestExponentTokens:
+    """An exponent of magnitude above 10**5 is refused before any power is built."""
+
+    @pytest.mark.parametrize("tok", ["1e10000000", "-2.5E-10000000", "1e+1_000_000",
+                                     "1e100001", "1e" + "9" * 5000],
+                             ids=["e7", "signed-e7", "underscores", "just-above", "long"])
+    def test_exponent_beyond_the_bound_is_refused_at_once(self, tmp_path, example_file, tok):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent magnitude above 100000") as info:
+            as_rational(tok)
+        assert len(str(info.value)) < 200
+        path = tmp_path / "exp.txt"
+        path.write_text(f"n: 2\nmember: 0:1/2 {tok}:1/2\nmember: 0:1\n")
+        for argv in (["verify", str(path)],
+                     ["verify", str(example_file), f"--bound={tok}"],
+                     ["transform", str(example_file), "--op", "down", f"--lo={tok}",
+                      "--hi", "1"]):
+            code, err = _run_quietly(argv)
+            assert code == EXIT_USAGE, (argv, err)
+            assert repr(clip(tok)) in err and len(err) < 200
+        assert time.perf_counter() - start < 1
+
+    def test_exponents_up_to_the_bound_read(self, tmp_path, capsys):
+        assert as_rational("1e100000") == 10**100000
+        assert as_rational("-1E-0100000") == F(-1, 10**100000)
+        assert as_rational("3e+1_000") == 3 * 10**1000
+        path = tmp_path / "exp.txt"
+        path.write_text("n: 2\nmember: 0:1/2 1e5000:1/2\nmember: 0:1\n")
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert "M_max = " in capsys.readouterr().out
+
+
 class TestBadArguments:
     """A bad rational or an unreadable path is a usage error, not a traceback."""
 
@@ -683,3 +764,60 @@ def test_hostile_option_values_exit_cleanly(hostile_paths, data):
     code, err = _run_quietly(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION), (argv, err)
     assert all(len(line) <= 200 for line in err.splitlines()), err[:400]
+
+
+# ---------------------------------------------------------------------------
+# hostile assembly documents
+
+
+DOC_VALUES = ["0", "1", "2", "1/2", "0.125", "1e5000", "-1e5000", "1e10000000",
+              "1e-10000000", "7" * 5000, "7" * 5000 + ".5", "1/0", "-1/2", "x", "٣", "1e"]
+DOC_MASSES = ["1", "1/2", "1/4", "3/4", "0", "-1/2", "3/2", "1e-3", "1e10000000", "7" * 5000]
+WELL_FORMED = ["0:1/2 1:1/2", "0:1/4 1:3/4", "1e5000:1", "1:1/2 1:1/2", f"{'7' * 5000}:1"]
+# a quoted value is at most 40 characters, or its first 40 and its length
+QUOTED = re.compile(r"'([^']*)'")
+CLIPPED = re.compile(r".{40}\.\.\.\(\d+ chars\)", re.DOTALL)
+
+
+@st.composite
+def atom_tokens(draw):
+    value, mass = draw(st.sampled_from(DOC_VALUES)), draw(st.sampled_from(DOC_MASSES))
+    shape = draw(st.sampled_from(["{v}:{m}"] * 4 + ["{v}", "{v}:{m}:{m}", ":{m}", "{v}:", "::"]))
+    return shape.format(v=value, m=mass)
+
+
+@st.composite
+def documents(draw):
+    # mostly well-formed members, so that many documents reach the bound chain
+    members = st.one_of(*[st.sampled_from(WELL_FORMED)] * 3,
+                        st.lists(atom_tokens(), min_size=1, max_size=4).map(" ".join))
+    lines = [f"member: {m}" for m in draw(st.lists(members, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        lines.insert(0, f"n: {draw(st.sampled_from(['1', '2', '3', 'x', '-1', '7' * 5000]))}")
+    if draw(st.booleans()):
+        lines.insert(0, f"bound: {draw(st.sampled_from(DOC_VALUES + ['1/4']))}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["name: x", "# note", "bogus: 1", "no colon", ""])))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.sampled_from([False] * 7 + [True])):  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3("])) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile_docs") / "doc.txt"
+
+
+@seed(2_212_001)
+@settings(max_examples=200, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=documents())
+def test_hostile_documents_exit_cleanly(doc_path, doc):
+    doc_path.write_bytes(doc)
+    code, err = _run_quietly(["verify", str(doc_path)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION), (doc[:400], err)
+    for quoted in QUOTED.findall(err):
+        assert len(quoted) <= 40 or CLIPPED.fullmatch(quoted), err[:400]

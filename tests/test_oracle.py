@@ -10,12 +10,13 @@ from maxmix import (
     FiniteDistribution,
     PreconditionError,
     ResourceCapExceeded,
+    dist as dist_module,
     enumerate_expected_max,
     mc_expected_max,
     oracle,
 )
 
-from genutil import random_assembly
+from genutil import random_assembly, random_distribution
 
 
 def dist(*pairs):
@@ -123,3 +124,59 @@ class TestMonteCarlo:
             with pytest.raises(PreconditionError):
                 mc_expected_max(a, 100, seed=seed)
         assert mc_expected_max(a, 100, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: both oracles read each member's integer form, and these
+# values were recorded when they still read its Fraction atoms
+
+
+def _pinned_assemblies():
+    rng = random.Random(2_201)
+    return {
+        "three": random_assembly(rng, n_range=(3, 3)),
+        "wide": Assembly((random_distribution(rng, max_atoms=50, min_atoms=50),
+                          random_distribution(rng), random_distribution(rng))),
+        "scales": Assembly((dist((F(1, 7), F(2, 5)), (F(22, 3), F(3, 5))),
+                            random_distribution(rng, max_den=97, min_atoms=4),
+                            dist((0, F(4, 9)), (F(5, 11), F(1, 3)), (F(9, 2), F(2, 9))))),
+        "four": random_assembly(rng, n_range=(4, 4), max_atoms=8),
+    }
+
+
+# name: (atoms per member, exact E[X_max], mean.hex(), stderr.hex()) at 20 000 samples, seed 22
+PINNED = {
+    "three": ([4, 5, 4], F(68179, 11718), "0x1.73d867c3ece2bp+2", "0x1.626cd7d6c15f2p-6"),
+    "wide": ([50, 5, 1], F(301745, 31152), "0x1.358dfea27983dp+3", "0x1.509f73b392567p-5"),
+    "scales": ([2, 4, 3], F(11261, 1350), "0x1.0b54c985f06f7p+3", "0x1.34206d69d0fa2p-6"),
+    "four": ([4, 3, 1, 2], F(132157, 7488), "0x1.1961d37d7960cp+4", "0x1.1d3398a7a3952p-5"),
+}
+# "three" at (1 << 20) + 17 samples, seed 4: crosses the chunk boundary
+PINNED_LONG = ("0x1.73f4b776a7bc9p+2", "0x1.892c2f3e8238fp-9")
+
+
+def _check_pinned():
+    for name, a in _pinned_assemblies().items():
+        sizes, exact, mean, stderr = PINNED[name]
+        assert [len(d.form.values) for d in a.members] == sizes, name
+        assert enumerate_expected_max(a) == exact, name
+        est = mc_expected_max(a, 20_000, seed=22)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr), name
+    est = mc_expected_max(_pinned_assemblies()["three"], (1 << 20) + 17, seed=4)
+    assert (est.mean.hex(), est.stderr.hex()) == PINNED_LONG
+
+
+def test_oracles_return_the_pinned_values():
+    _check_pinned()
+
+
+def test_oracles_read_only_the_integer_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle read a Fraction view or the CDF table")
+
+    for name in ("atoms", "values", "masses"):
+        monkeypatch.setattr(FiniteDistribution, name, property(refuse))
+    monkeypatch.setattr(FiniteDistribution, "cdf", refuse)
+    monkeypatch.setattr(dist_module.CdfTable, "of", refuse)
+    monkeypatch.setattr(dist_module, "jump_weights", refuse)
+    _check_pinned()

@@ -8,6 +8,7 @@ refuses attribute assignment, compares and hashes by its fields, and keeps
 its repr.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -128,6 +129,23 @@ def test_reprs_are_unchanged():
     assert repr(RECORDS["ExtremalSpec"]()) == (
         "ExtremalSpec(m_list=(Fraction(1, 1), Fraction(2, 1)), "
         "closeness=Fraction(1, 10), p_schedule=(Fraction(1, 2),))")
+
+
+def test_reprs_of_long_values_match_the_unlimited_repr():
+    # 5000 digits: past the interpreter's default limit for int <-> str
+    big = 10**4999 + 7
+    d = FiniteDistribution.from_pairs([(0, F(1, 2)), (big, F(1, 2))])
+    a = Assembly((d, FiniteDistribution.point_mass(F(1, big))))
+    values = [Enclosure(F(1, big), F(big)), Enclosure.exact(F(-big, 3)), a.table,
+              cdf_step(d), d, a]
+    shown = [repr(x) for x in values]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert shown == [repr(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert all(len(text) > 5000 for text in shown)
 
 
 def test_keyword_construction():

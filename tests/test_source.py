@@ -1,9 +1,14 @@
-"""The package's certificates are checks that raise, never ``assert``.
+"""Rules every module under ``src/maxmix`` keeps, read from its syntax tree.
 
+The package's certificates are checks that raise, never ``assert``:
 ``python -O`` strips ``assert`` statements, and with them any certificate
 written as one; an ``assert`` that fails otherwise escapes the CLI as a
-traceback instead of exit 3.  This test reads every module under
-``src/maxmix`` and fails on any ``assert`` statement.
+traceback instead of exit 3.
+
+numpy is imported inside the functions that sample, never when a module
+loads, so that no command that skips the Monte Carlo oracle pays its
+start-up time and memory.  An ``if TYPE_CHECKING:`` block does not run and
+may import it for annotations.
 """
 
 import ast
@@ -19,3 +24,25 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def _imports_at_load(nodes):
+    """The import statements among nodes and below them that run when the module loads."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _imports_at_load(node.orelse)  # the body never runs
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _imports_at_load(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_imported_only_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in _imports_at_load(tree.body):
+        names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    assert not lines, f"{path.name} imports numpy when it loads, at lines {lines}"
