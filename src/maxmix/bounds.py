@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dist import Assembly, _shown, as_rational
+from .dist import Assembly, _fields_repr, _shown, as_rational
 from .enclosure import DEFAULT_TOL, Enclosure, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
@@ -124,6 +124,8 @@ class GamGapReport(NamedTuple):
     bound: Fraction
     gap_mixture_form: Enclosure
 
+    __repr__ = _fields_repr
+
 
 def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     """Arithmetic-vs-geometric CDF mean gap with a certified enclosure.
@@ -177,7 +179,8 @@ class ChainChecks(NamedTuple):
 
     The first three comparisons are exact rational comparisons.  The two
     root-based checks are present only when a common support bound was
-    supplied, and allow the stated tolerance.
+    supplied; each allows the stated tolerance and is decided from the
+    enclosure endpoint that could break it, never from the midpoint.
     """
 
     mean_le_mixture: bool
@@ -185,6 +188,8 @@ class ChainChecks(NamedTuple):
     exact_le_upper: bool
     holder_le_exact: bool | None = None
     mean_le_holder: bool | None = None
+
+    __repr__ = _fields_repr
 
     @property
     def all_ok(self) -> bool:
@@ -208,6 +213,8 @@ class _BoundReportFields(NamedTuple):
     theta: Fraction
     chain: ChainChecks
     holder: Enclosure | None = None
+
+    __repr__ = _fields_repr
 
 
 class BoundReport(_BoundReportFields):
@@ -244,7 +251,8 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
 
     ``b``, when given, must bound every member's support and enables the
     bounded-support lower bound.  The three rational comparisons in the
-    chain are exact; the two involving the root-based bound allow ``tol``.
+    chain are exact; the two involving the root-based bound allow ``tol``
+    and read the enclosure's far endpoint.
     """
     tol = as_tolerance(tol)
     n = a.n
@@ -265,8 +273,10 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
                 f"{_shown(a.support_max)}"
             )
         holder = holder_lower(m_list, b, n, tol)
-        holder_le_exact = holder.midpoint <= exact_e + tol
-        mean_le_holder = m_bar <= holder.midpoint + tol
+        # decided from the endpoints: the enclosure is at most tol wide, so
+        # both hold for every valid input
+        holder_le_exact = holder.hi <= exact_e + tol
+        mean_le_holder = m_bar <= holder.lo + tol
 
     chain = ChainChecks(
         mean_le_mixture=m_bar <= mixture_e,

@@ -238,6 +238,25 @@ def _check_copy_count(n) -> int:
     return n
 
 
+def _long_repr(x) -> str:
+    """``repr(x)``, with integers and Fractions of any length written by `_int_str`."""
+    if type(x) is tuple:
+        return f"({', '.join(map(_long_repr, x))}{',' * (len(x) == 1)})"
+    if isinstance(x, Fraction):
+        return f"Fraction({_int_str(x.numerator)}, {_int_str(x.denominator)})"
+    return _int_str(x) if type(x) is int else repr(x)
+
+
+def _fields_repr(self) -> str:
+    """``Name(field=value, ...)`` over ``_fields``, each value by `_long_repr`.
+
+    The repr of `Frozen` values and of every `NamedTuple` record, so that no
+    repr raises on a value past the interpreter's digit limit.
+    """
+    inner = ", ".join(f"{f}={_long_repr(getattr(self, f))}" for f in self._fields)
+    return f"{type(self).__name__}({inner})"
+
+
 class IntegerForm(NamedTuple):
     """Canonical atoms as integers: ``values[k] / scale`` carries ``masses[k] / den``.
 
@@ -250,6 +269,8 @@ class IntegerForm(NamedTuple):
     values: tuple[int, ...]
     den: int
     masses: tuple[int, ...]
+
+    __repr__ = _fields_repr
 
     @classmethod
     def of(cls, vnums: Sequence[int], vdens: Sequence[int],
@@ -302,15 +323,6 @@ class IntegerForm(NamedTuple):
         return cls(scale, tuple(values), den, tuple(masses))
 
 
-def _long_repr(x) -> str:
-    """``repr(x)``, with integers and Fractions of any length written by `_int_str`."""
-    if type(x) is tuple:
-        return f"({', '.join(map(_long_repr, x))}{',' * (len(x) == 1)})"
-    if isinstance(x, Fraction):
-        return f"Fraction({_int_str(x.numerator)}, {_int_str(x.denominator)})"
-    return _int_str(x) if type(x) is int else repr(x)
-
-
 class Frozen:
     """A value type: frozen, and equal, hashed and shown by its ``_fields``.
 
@@ -335,9 +347,7 @@ class Frozen:
     def __hash__(self):
         return hash(self._key())
 
-    def __repr__(self):
-        inner = ", ".join(f"{f}={_long_repr(getattr(self, f))}" for f in self._fields)
-        return f"{type(self).__name__}({inner})"
+    __repr__ = _fields_repr
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import performance_bounds
-from .dist import Assembly, FiniteDistribution, _shown, as_rational
+from .dist import Assembly, FiniteDistribution, _fields_repr, _shown, as_rational
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
@@ -33,6 +33,8 @@ class _ExtremalFields(NamedTuple):
     m_list: tuple[Fraction, ...]
     closeness: Fraction
     p_schedule: tuple[Fraction, ...] | None = None
+
+    __repr__ = _fields_repr
 
 
 class ExtremalSpec(_ExtremalFields):
@@ -102,27 +104,48 @@ def _staggered(delta: Fraction, n: int) -> tuple[Fraction, ...]:
     )
 
 
-def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly:
+def _values(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> list[Fraction]:
+    """The non-zero values x_k = M_k / (1 - p_k^n), refused unless they rise
+    strictly from above the constant member at the top target."""
     n = len(m_list)
     m_top = m_list[-1]
-    members = []
-    xs = []
-    for m_k, p_k in zip(m_list[:-1], ps):
-        x_k = m_k / (1 - p_k**n)
-        xs.append(x_k)
-        members.append(FiniteDistribution.from_pairs([(_ZERO, p_k), (x_k, 1 - p_k)]))
-    members.append(FiniteDistribution.point_mass(m_top))
+    xs = [m_k / (1 - p_k**n) for m_k, p_k in zip(m_list[:-1], ps)]
     ordered = all(x < y for x, y in zip(xs, xs[1:])) and (not xs or m_top < xs[0])
     if not ordered:
         raise PreconditionError(
             f"zero masses {_shown(ps)} do not order the non-zero values "
             f"{_shown(xs)} above the constant member {_shown(m_top)}"
         )
+    return xs
+
+
+def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly:
+    xs = _values(m_list, ps)
+    members = [FiniteDistribution.from_pairs([(_ZERO, p_k), (x_k, 1 - p_k)])
+               for x_k, p_k in zip(xs, ps)]
+    members.append(FiniteDistribution.point_mass(m_list[-1]))
     a = Assembly(tuple(members))
     realized = a.similar_means()
     if realized != m_list:
         raise InvariantViolation(f"similar means {_shown(realized)} != targets {_shown(m_list)}")
     return a
+
+
+def _family_gap(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Fraction:
+    """`gap` of ``_realize(m_list, ps)`` in closed form, without building it.
+
+    With m_top < x_1 < ... < x_{n-1}, the maximum is x_j when member j draws
+    x_j and every later member draws 0, and m_top when all of them draw 0:
+    E[X_max] = sum_j x_j (1 - p_j) prod_{i>j} p_i + m_top prod_i p_i, summed
+    here from the bottom as e <- e p_j + x_j (1 - p_j).  Refuses what
+    `_realize` refuses, and zero masses that are not positive.
+    """
+    if ps and ps[0] <= 0:  # the staggered masses rise, so ps[0] is the least
+        raise PreconditionError(f"zero mass {_shown(ps[0])} is not positive")
+    e = m_list[-1]
+    for x_k, p_k in zip(_values(m_list, ps), ps):
+        e = e * p_k + x_k * (1 - p_k)
+    return performance_bounds(m_list, len(m_list))[1] - e
 
 
 def build(spec: ExtremalSpec) -> Assembly:
@@ -131,21 +154,22 @@ def build(spec: ExtremalSpec) -> Assembly:
     With an explicit ``p_schedule`` the assembly is built as scheduled (the
     ordering constraint is validated, the achieved gap is reported by `gap`
     but not forced under ``closeness``).  Otherwise the zero masses start at
-    1/2 and tighten geometrically toward 1 until the exact gap drops to
-    ``closeness``; each candidate is checked by exact arithmetic.
+    1/2 and tighten geometrically toward 1 until the exact gap, taken from
+    the family's closed form, drops to ``closeness``; only that candidate is
+    realized, and `_realize` checks its similar means exactly.
     """
     if spec.p_schedule is not None:
         return _realize(spec.m_list, spec.p_schedule)
 
     delta = _DELTA_START
     for _ in range(_MAX_ROUNDS):
+        ps = _staggered(delta, spec.n)
         try:
-            a = _realize(spec.m_list, _staggered(delta, spec.n))
+            close = _family_gap(spec.m_list, ps) <= spec.closeness
         except PreconditionError:
-            delta *= _DELTA_SHRINK
-            continue
-        if gap(a) <= spec.closeness:
-            return a
+            close = False
+        if close:
+            return _realize(spec.m_list, ps)
         delta *= _DELTA_SHRINK
     raise ResourceCapExceeded(
         f"gap {_shown(spec.closeness)} not reached within {_MAX_ROUNDS} tightening rounds"

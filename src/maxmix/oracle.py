@@ -11,7 +11,10 @@ run with seed s is the (c+1)-th output of SplitMix64 started at s, mapped to
 [0, 1) by its top 53 bits.  Sample t of member i uses counter t*n + i, so
 any worker split by sample ranges reproduces the identical stream.  Member
 values are drawn by inverse CDF with exact integer thresholds, so a draw
-lands on atom j with probability exactly ceil-rounded to 2**-53.
+lands on atom j with probability exactly ceil-rounded to 2**-53.  The
+atom is read from a per-member table over the top bits of the 53-bit key;
+only keys in a bucket that a threshold splits are binary-searched, so the
+index is exactly the one a search of every key would give.
 
 numpy is imported by the sampling functions, not by this module, so that
 the commands that never sample do not pay its start-up time and memory.
@@ -25,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dist import Assembly, IntegerForm, _shown, check_cap
+from .dist import Assembly, IntegerForm, _fields_repr, _shown, check_cap
 from .errors import PreconditionError
 
 if TYPE_CHECKING:
@@ -47,6 +50,8 @@ class McEstimate(NamedTuple):
     stderr: float
     samples: int
     seed: int
+
+    __repr__ = _fields_repr
 
 
 def enumerate_expected_max(a: Assembly) -> Fraction:
@@ -75,14 +80,22 @@ def enumerate_expected_max(a: Assembly) -> Fraction:
     return Fraction(sum(v * w for v, w in acc.items()), vscale * math.prod(f.den for f in forms))
 
 
-def _splitmix_draws(seed: int, counters: np.ndarray) -> np.ndarray:
-    """The (c+1)-th SplitMix64 outputs for each counter c, as uint64."""
+def _splitmix_keys(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Finish SplitMix64 in place and keep the top 53 bits: the draw keys.
+
+    ``z`` holds the states ``seed + (c + 1) * golden`` and is overwritten with
+    the keys; ``tmp`` is scratch space of the same shape.
+    """
     import numpy as np
 
-    z = (np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    z >>= 11
+    return z
 
 
 def _thresholds(f: IntegerForm) -> np.ndarray:
@@ -95,6 +108,41 @@ def _thresholds(f: IntegerForm) -> np.ndarray:
 
     return np.array([((c << 53) - 1) // f.den for c in itertools.accumulate(f.masses)],
                     dtype=np.uint64)
+
+
+def _bucket_table(thresholds: np.ndarray) -> tuple[int, np.ndarray]:
+    """The atom index of each bucket of keys, or -1 where a threshold splits it.
+
+    Bucket b holds the keys that share their top B bits, ``[b << shift,
+    (b + 1) << shift)`` with ``shift = 53 - B``; B is the bit length of the
+    atom count plus 4, clamped to [8, 16], so most buckets hold no threshold.
+    Returns ``(shift, table)``.
+    """
+    import numpy as np
+
+    bits = min(max(len(thresholds).bit_length() + 4, 8), 16)
+    shift = 53 - bits
+    starts = np.arange(1 << bits, dtype=np.uint64) << shift
+    table = np.searchsorted(thresholds, starts, side="left")
+    split = table != np.searchsorted(thresholds, starts + ((1 << shift) - 1), side="left")
+    table[split] = -1
+    return shift, table
+
+
+def _atom_index(thresholds: np.ndarray, buckets: tuple[int, np.ndarray],
+                keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(thresholds, keys, side="left")``, read from `_bucket_table`.
+
+    Only the keys in a bucket that a threshold splits are searched.
+    """
+    import numpy as np
+
+    shift, table = buckets
+    idx = table.take((keys >> shift).view(np.int64))
+    split = idx < 0
+    if split.any():
+        idx[split] = np.searchsorted(thresholds, keys[split], side="left")
+    return idx
 
 
 def check_mc_request(a: Assembly, samples: int, seed: int) -> int:
@@ -140,18 +188,26 @@ def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
             f"{samples} samples of values up to {float(a.support_max):.3g} exceed it"
         )
 
+    buckets = [_bucket_table(t) for t in thresholds]
     total = 0.0
     total_sq = 0.0
     for start in range(0, samples, _CHUNK):
         stop = min(start + _CHUNK, samples)
-        t = np.arange(start, stop, dtype=np.uint64)
+        # the state of counter t*n + i, seed + (t*n + i + 1)*golden, is
+        # t*(n*golden) + (seed + (i + 1)*golden) modulo 2**64
+        base = np.arange(start, stop, dtype=np.uint64)
+        base *= n * _GOLDEN & _MASK
+        z = np.empty_like(base)
+        tmp = np.empty_like(base)
         block_max = None
         for i in range(n):
-            draws = _splitmix_draws(seed, t * np.uint64(n) + np.uint64(i))
-            k = draws >> np.uint64(11)
-            idx = np.searchsorted(thresholds[i], k, side="left")
-            col = values[i][idx]
-            block_max = col if block_max is None else np.maximum(block_max, col)
+            np.add(base, (seed + (i + 1) * _GOLDEN) & _MASK, out=z)
+            keys = _splitmix_keys(z, tmp)
+            col = values[i].take(_atom_index(thresholds[i], buckets[i], keys))
+            if block_max is None:
+                block_max = col
+            else:
+                np.maximum(block_max, col, out=block_max)
         total += float(np.add.reduce(block_max))
         total_sq += float(np.add.reduce(block_max * block_max))
 

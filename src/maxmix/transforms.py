@@ -24,7 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
-from .dist import Assembly, FiniteDistribution, _check_copy_count, _shown, as_rational
+from .dist import (
+    Assembly,
+    FiniteDistribution,
+    _check_copy_count,
+    _fields_repr,
+    _shown,
+    as_rational,
+)
 from .enclosure import DEFAULT_TOL, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
@@ -59,6 +66,8 @@ class TransformOutcome(NamedTuple):
     e_delta: Fraction
     direction: Direction
     alphas: tuple[Fraction | None, ...] | None = None
+
+    __repr__ = _fields_repr
 
 
 def _payoff_delta(d: FiniteDistribution, result: FiniteDistribution,

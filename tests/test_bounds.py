@@ -129,6 +129,37 @@ class TestHolderLower:
             assert got.midpoint >= sum(ms) / a.n - tol
 
 
+class TestCertifiedHolderChecks:
+    """The two root-based chain checks read the enclosure endpoints."""
+
+    PAIR = "bound: 1\nmember: 0:1/2 1:1/2\nmember: 0:1/4 1:3/4\n"
+
+    @pytest.mark.parametrize("label, centre", [
+        ("holder <= exact_E + tol", "exact_e"),
+        ("M_bar <= holder + tol", "m_bar"),
+    ])
+    def test_a_wide_enclosure_fails_on_its_endpoint(self, tmp_path, monkeypatch, capsys,
+                                                    label, centre):
+        from maxmix import Enclosure, bounds
+        from maxmix.cli import EXIT_INVARIANT, main, parse_assembly_text
+
+        path = tmp_path / "pair.txt"
+        path.write_text(self.PAIR)
+        report = full_report(parse_assembly_text(self.PAIR).assembly, b=1)
+        assert report.chain.all_ok
+        # the midpoint sits on the value the check compares with, so a
+        # midpoint test would pass; the endpoint one past it must fail
+        mid = getattr(report, centre)
+        monkeypatch.setattr(bounds, "holder_lower",
+                            lambda *args, **kwargs: Enclosure(mid - 1, mid + 1))
+        wide = full_report(parse_assembly_text(self.PAIR).assembly, b=1)
+        assert not wide.chain.all_ok
+        assert main(["verify", str(path)]) == EXIT_INVARIANT
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  {label:<24} FAILED" in lines
+        assert "verdict: FAIL (implementation defect)" in lines
+
+
 class TestGamGap:
     def test_identical_members_gap_is_exactly_zero(self):
         d = dist((0, F(1, 3)), (1, F(1, 3)), (3, F(1, 3)))

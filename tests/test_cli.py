@@ -174,6 +174,30 @@ def _off_float_range(rng: random.Random) -> F:
     return -x if rng.random() < 0.5 else x
 
 
+def _long_off_float_range(rng: random.Random) -> F:
+    """A rational with a 5 000- to 50 000-digit operand, about a third of them
+    exact 15-digit ties."""
+    digits = int(5000 * 10 ** rng.random())
+    bits = int(digits / math.log10(2))
+    kind = rng.randrange(6)
+    if kind == 0:  # huge over up to 36 digits
+        x = F(rng.getrandbits(bits) | 1 << bits - 1, rng.getrandbits(120) + 1)
+    elif kind == 1:  # up to 36 digits over huge
+        x = F(rng.getrandbits(120) + 1, rng.getrandbits(bits) | 1 << bits - 1)
+    elif kind == 2:  # both huge, the quotient past float range either way
+        other = bits + rng.choice((-1, 1)) * rng.randint(1100, 4000)
+        x = F(rng.getrandbits(bits) | 1 << bits - 1, rng.getrandbits(other) | 1 << other - 1)
+    elif kind == 3:  # exact ties between two 15-digit neighbours, both ways
+        tie = rng.randrange(10**14, 10**15) * 10 + 5
+        x = F(tie * 10**digits) if rng.random() < 0.5 else F(tie, 10**digits)
+    elif kind == 4:  # a tie over an odd factor of both operands
+        k = rng.randrange(3, 10**6, 2)
+        x = F(k * (rng.randrange(10**14, 10**15) * 10 + 5) * 10**digits, k)
+    else:  # rounds up to the next power of ten
+        x = F(10**16 - rng.randint(1, 5)) * F(10) ** rng.choice((digits, -digits))
+    return -x if rng.random() < 0.5 else x
+
+
 class TestLongAndHugeValues:
     def test_exact_values_beyond_the_digit_limit(self, tmp_path, capsys):
         # 30 coprime mass denominators of 7 digits: the mixture bound's
@@ -229,6 +253,19 @@ class TestLongAndHugeValues:
             x = _off_float_range(rng)
             assert abs(x) >= 2**1024 or abs(x) < F(sys.float_info.min), x
             assert decimal_str(x) == _decimal_reference(x), x
+        rng = random.Random(23)
+        for _ in range(150):
+            x = _long_off_float_range(rng)
+            assert decimal_str(x) == _decimal_reference(x), _shown(x)
+
+    def test_decimal_str_of_a_long_value_is_cheap(self):
+        rng = random.Random(24)
+        bits = int(300_000 / math.log10(2))
+        for x in (F(rng.getrandbits(bits) | 1 << bits - 1, 7),
+                  F(-3, rng.getrandbits(bits) | 1 << bits - 1)):
+            t0 = time.perf_counter()
+            decimal_str(x)
+            assert time.perf_counter() - t0 < 0.1
 
     def test_verify_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
@@ -811,13 +848,42 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("hostile_docs") / "doc.txt"
 
 
+def _exits_cleanly(doc: bytes, argv: list[str]) -> None:
+    """Exit 0, 1 or 2, with every quoted value clipped."""
+    code, err = _run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION), (doc[:400], err)
+    for quoted in QUOTED.findall(err):
+        assert len(quoted) <= 40 or CLIPPED.fullmatch(quoted), err[:400]
+
+
 @seed(2_212_001)
 @settings(max_examples=200, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=documents())
 def test_hostile_documents_exit_cleanly(doc_path, doc):
     doc_path.write_bytes(doc)
-    code, err = _run_quietly(["verify", str(doc_path)])
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION), (doc[:400], err)
-    for quoted in QUOTED.findall(err):
-        assert len(quoted) <= 40 or CLIPPED.fullmatch(quoted), err[:400]
+    _exits_cleanly(doc, ["verify", str(doc_path)])
+
+
+@seed(2_312_001)
+@settings(max_examples=200, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=documents())
+def test_hostile_documents_transform_cleanly(doc_path, doc):
+    doc_path.write_bytes(doc)
+    _exits_cleanly(doc, ["transform", str(doc_path), "--op", "down", "--lo", "0", "--hi", "1",
+                         "--out", str(doc_path.with_suffix(".out"))])
+
+
+@seed(2_312_002)
+@settings(max_examples=200, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=documents(), at=st.integers(0, 8))
+def test_hostile_templates_sweep_cleanly(doc_path, doc, at):
+    # the swept member goes in at a drawn line, so that it may precede a bad one
+    lines = doc.split(b"\n")
+    lines.insert(min(at, len(lines)), b"member: 0:$p 1:$q")
+    template = b"\n".join(lines)
+    doc_path.write_bytes(template)
+    _exits_cleanly(template, ["sweep", "--template", str(doc_path), "--points", "1/3,1/2",
+                              "--out", str(doc_path.with_suffix(".csv"))])

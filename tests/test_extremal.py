@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from maxmix import (
     Assembly,
@@ -10,6 +12,7 @@ from maxmix import (
     FiniteDistribution,
     InvariantViolation,
     PreconditionError,
+    ResourceCapExceeded,
     build,
     full_report,
     gap,
@@ -17,6 +20,7 @@ from maxmix import (
     theta_sup,
 )
 from maxmix.cli import EXIT_INVARIANT, main
+from maxmix.extremal import _family_gap, _staggered
 
 
 class TestThetaSup:
@@ -137,3 +141,71 @@ class TestSpecValidation:
             ExtremalSpec((F(1), F(1)), F(1), (F(1, 2), F(1, 2)))
         with pytest.raises(PreconditionError):
             ExtremalSpec((F(1), F(1)), F(1), (F(1),))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tightening against the loop it replaced
+
+
+def _reference_build(spec: ExtremalSpec) -> Assembly:
+    """The earlier tightening loop, kept as the reference: each round realizes
+    its candidate assembly and accepts it on its exact gap."""
+    n, m_list = spec.n, spec.m_list
+    delta = F(1, 2)
+    for _ in range(60):
+        ps = _staggered(delta, n)
+        try:
+            members, xs = [], []
+            for m_k, p_k in zip(m_list[:-1], ps):
+                x_k = m_k / (1 - p_k**n)
+                xs.append(x_k)
+                members.append(FiniteDistribution.from_pairs([(0, p_k), (x_k, 1 - p_k)]))
+            if not (all(x < y for x, y in zip(xs, xs[1:])) and (not xs or m_list[-1] < xs[0])):
+                raise PreconditionError("unordered")
+        except PreconditionError:
+            delta *= F(1, 10)
+            continue
+        a = Assembly((*members, FiniteDistribution.point_mass(m_list[-1])))
+        assert a.similar_means() == m_list
+        if gap(a) <= spec.closeness:
+            return a
+        delta *= F(1, 10)
+    raise ResourceCapExceeded("not reached")
+
+
+targets = st.fractions(min_value=F(1, 100), max_value=100, max_denominator=1000)
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        m_list = [draw(targets)] * n
+    else:
+        m_list = sorted(draw(st.lists(targets, min_size=n, max_size=n)))
+    closeness = draw(st.one_of(
+        st.integers(0, 6).map(lambda k: F(1, 10**k)),
+        st.fractions(min_value=F(1, 10**6), max_value=1, max_denominator=10**7)))
+    return ExtremalSpec(m_list, closeness)
+
+
+@seed(2_303_001)
+@settings(max_examples=150, deadline=None)
+@given(spec=specs())
+def test_build_matches_the_realizing_loop(spec):
+    try:
+        want = _reference_build(spec)
+    except ResourceCapExceeded:
+        with pytest.raises(ResourceCapExceeded):
+            build(spec)
+        return
+    got = build(spec)
+    assert got == want and repr(got) == repr(want)
+    assert gap(got) <= spec.closeness
+
+
+def test_closed_form_refuses_a_zero_mass_that_is_not_positive():
+    # past about a thousand members the first staggered masses fall below 0
+    assert _staggered(F(1, 2), 1003)[0] < 0
+    with pytest.raises(PreconditionError, match="not positive"):
+        _family_gap((F(1),) * 3, (F(-1, 2), F(1, 2)))

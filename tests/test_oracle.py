@@ -180,3 +180,64 @@ def test_oracles_read_only_the_integer_form(monkeypatch):
     monkeypatch.setattr(dist_module.CdfTable, "of", refuse)
     monkeypatch.setattr(dist_module, "jump_weights", refuse)
     _check_pinned()
+
+
+# ---------------------------------------------------------------------------
+# the bucketed inverse-CDF lookup
+
+
+def _lookup_members():
+    rng = random.Random(2_301)
+    eps = F(1, 2**20)
+    return {
+        "small": random_distribution(rng, max_atoms=7, min_atoms=7),
+        "one atom": FiniteDistribution.point_mass(3),
+        "wide": random_distribution(rng, max_atoms=50, min_atoms=50),
+        # every threshold above 1 - 3 * 2**-20 lies in the top bucket
+        "one bucket": dist((0, 1 - 3 * eps), (1, eps), (2, eps), (3, eps)),
+        # over 2**53 the thresholds are the cumulative masses less one; with
+        # shift 45 each is alone in its bucket, at the first key of bucket 0,
+        # the last key less one of bucket 1, the first key of bucket 2 and the
+        # last key of bucket 3
+        "bucket edges": _cumulative(1, 2**46 - 1, 2**46 + 1, 2**47, 2**53),
+        "5000 atoms": _many_atoms(rng, 5000),
+    }
+
+
+def _cumulative(*cum):
+    """The distribution on 0, 1, 2, ... with cumulative masses ``cum / 2**53``."""
+    return FiniteDistribution.from_pairs(
+        (k, F(b - a, 2**53)) for k, (a, b) in enumerate(zip((0, *cum), cum)))
+
+
+def _many_atoms(rng, size):
+    weights = [rng.randint(1, 1000) for _ in range(size)]
+    total = sum(weights)
+    return FiniteDistribution.from_pairs((k, F(w, total)) for k, w in enumerate(weights))
+
+
+@pytest.mark.parametrize("name", ["small", "one atom", "wide", "one bucket",
+                                  "bucket edges", "5000 atoms"])
+def test_bucketed_index_equals_searchsorted(name):
+    import numpy as np
+
+    d = _lookup_members()[name]
+    t = oracle._thresholds(d.form)
+    assert len(t) == len(d.form.values) and int(t[-1]) == 2**53 - 1
+    shift, table = buckets = oracle._bucket_table(t)
+    rng = np.random.default_rng(2_302)
+    edges = np.arange(len(table), dtype=np.uint64) << shift
+    keys = np.concatenate([
+        np.array([0, 2**53 - 1], dtype=np.uint64),
+        t, np.maximum(t, 1) - 1, np.minimum(t + 1, 2**53 - 1),  # each threshold, neighbours
+        edges, np.maximum(edges, 1) - 1,  # the first and the last key of each bucket
+        rng.integers(0, 2**53, 20_000, dtype=np.uint64),
+    ])
+    got = oracle._atom_index(t, buckets, keys)
+    assert np.array_equal(got, np.searchsorted(t, keys, side="left"))
+    if name == "one bucket":
+        assert np.count_nonzero(table < 0) == 1
+    if name == "bucket edges":
+        assert t.tolist() == [0, 2**46 - 2, 2**46, 2**47 - 1, 2**53 - 1] and shift == 45
+    if name == "5000 atoms":
+        assert 53 - shift == 16

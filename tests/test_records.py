@@ -1,6 +1,6 @@
 """Value semantics of the package's record and value types.
 
-Results are `NamedTuple` records (`BoundReport` and `ExtremalSpec` check
+Results and stored forms are `NamedTuple` records (`BoundReport` and `ExtremalSpec` check
 their fields on construction); `Enclosure`, `FiniteDistribution`,
 `SurvivalStep`, `CdfTable` and `Assembly` are plain classes, because tuple
 concatenation and ordering would be wrong for them.  Either way an instance
@@ -48,6 +48,7 @@ def _chain():
 
 # Each builder makes a fresh instance from equal fields on every call.
 RECORDS = {
+    "IntegerForm": lambda: _dist().form,
     "McEstimate": lambda: McEstimate(mean=1.5, stderr=0.25, samples=10, seed=3),
     "TransformOutcome": lambda: TransformOutcome(
         result=_dist(), m_residual=F(0), e_delta=F(1, 8), direction="increased"),
@@ -146,6 +147,60 @@ def test_reprs_of_long_values_match_the_unlimited_repr():
     finally:
         sys.set_int_max_str_digits(limit)
     assert all(len(text) > 5000 for text in shown)
+
+
+BIG = 10**4999 + 7  # 5000 digits: past the interpreter's default limit for int <-> str
+
+
+def _long_dist():
+    return FiniteDistribution.from_pairs([(0, F(1, 2)), (BIG, F(1, 2))])
+
+
+def _long_assembly():
+    return Assembly((_long_dist(), FiniteDistribution.point_mass(1)))
+
+
+# Each builder makes a record with a 5000-digit value in one of its fields.
+LONG_RECORDS = {
+    "IntegerForm": lambda: _long_dist().form,
+    "McEstimate": lambda: McEstimate(mean=1.5, stderr=0.25, samples=BIG, seed=3),
+    "TransformOutcome": lambda: TransformOutcome(
+        result=_dist(), m_residual=F(1, BIG), e_delta=F(BIG, 3), direction="increased",
+        alphas=(None, F(1, BIG))),
+    "GamGapReport": lambda: GamGapReport(
+        gap=Enclosure(F(0), F(BIG)), bound=F(1, BIG), gap_mixture_form=Enclosure.exact(F(1))),
+    "ChainChecks": lambda: ChainChecks(BIG, True, True),
+    "AssemblyDocument": lambda: AssemblyDocument(_long_assembly(), name="big", bound=F(BIG)),
+    "SweepRow": lambda: SweepRow(*(F(BIG, k) for k in range(1, 8))),
+    "BoundReport": lambda: full_report(_long_assembly()),
+    "ExtremalSpec": lambda: ExtremalSpec((F(1), F(BIG)), F(1, BIG), (F(1, 2),)),
+}
+
+
+def test_every_record_has_a_long_value_builder():
+    assert set(LONG_RECORDS) == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_reprs_of_long_values_match_the_unlimited_repr(name):
+    x = LONG_RECORDS[name]()
+    shown = repr(x)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in x._fields)
+        assert shown == f"{name}({fields})"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(shown) > 5000
+
+
+def test_record_reprs_of_small_values_are_the_namedtuple_repr():
+    for name, build in RECORDS.items():
+        x = build()
+        assert repr(x) == f"{name}({', '.join(f'{f}={getattr(x, f)!r}' for f in x._fields)})"
+    assert repr(RECORDS["McEstimate"]()) == "McEstimate(mean=1.5, stderr=0.25, samples=10, seed=3)"
+    assert repr(RECORDS["SweepRow"]()).startswith("SweepRow(parameter=Fraction(1, 7), ")
 
 
 def test_keyword_construction():

@@ -9,6 +9,10 @@ numpy is imported inside the functions that sample, never when a module
 loads, so that no command that skips the Monte Carlo oracle pays its
 start-up time and memory.  An ``if TYPE_CHECKING:`` block does not run and
 may import it for annotations.
+
+Every ``NamedTuple`` record defines ``__repr__``: the generated one writes a
+field with ``repr``, and ``Fraction.__repr__`` raises past the interpreter's
+digit limit.
 """
 
 import ast
@@ -46,3 +50,23 @@ def test_numpy_is_imported_only_inside_functions(path):
         if any(name.split(".")[0] == "numpy" for name in names):
             lines.append(node.lineno)
     assert not lines, f"{path.name} imports numpy when it loads, at lines {lines}"
+
+
+def _defines_repr(cls: ast.ClassDef) -> bool:
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__repr__":
+            return True
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__repr__" for t in node.targets):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_named_tuple_records_define_repr(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    missing = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(ast.unparse(base).split(".")[-1] == "NamedTuple" for base in node.bases)
+               and not _defines_repr(node)]
+    assert not missing, f"{path.name}: NamedTuple classes without __repr__: {missing}"
