@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .dist import (
     DEFAULT_ATOM_CAP,
+    DEFAULT_BIT_CAP,
     Assembly,
     FiniteDistribution,
     SurvivalStep,
@@ -48,6 +49,7 @@ __all__ = [
     "BoundReport",
     "ChainChecks",
     "DEFAULT_ATOM_CAP",
+    "DEFAULT_BIT_CAP",
     "DEFAULT_TOL",
     "Enclosure",
     "ExtremalSpec",

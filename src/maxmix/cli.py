@@ -24,7 +24,6 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
-import decimal
 import re
 import sys
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .dist import (
     Assembly,
     FiniteDistribution,
     _fields_repr,
+    _leading,
     _ratio,
     _ratios,
     _shown,
@@ -73,55 +73,16 @@ class AssemblyDocument(NamedTuple):
 
 #: significant digits of the decimal column next to each exact value
 _SIG_DIGITS = 15
-#: rounds the off-float-range values of that column, with no exponent limit
-_OFF_RANGE = decimal.Context(prec=_SIG_DIGITS, rounding=decimal.ROUND_HALF_EVEN,
-                             Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-#: leading bits of a long numerator or denominator that bracket its quotient
-_CUT_BITS = 192
-#: directed roundings of the bracket, far finer than its width of about 2**-190
-_DOWN, _UP = (decimal.Context(prec=60, rounding=r, Emax=decimal.MAX_EMAX,
-                              Emin=decimal.MIN_EMIN)
-              for r in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))
-
-
-def _pow2(k: int, ctx: decimal.Context) -> decimal.Decimal:
-    """2**k for k >= 0 by squaring, every product rounded in ctx's direction."""
-    result, base = decimal.Decimal(1), decimal.Decimal(2)
-    while k:
-        if k & 1:
-            result = ctx.multiply(result, base)
-        k >>= 1
-        if k:
-            base = ctx.multiply(base, base)
-    return result
-
-
-def _cut_bounds(num: int, den: int) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """Decimals ``lo <= num / den <= hi`` from the leading bits of each operand.
-
-    Shifting costs time linear in the length, where an exact decimal division
-    of the whole operands is quadratic; lo and hi differ by about 2**-190 of
-    the quotient.
-    """
-    sn = max(num.bit_length() - _CUT_BITS, 0)
-    sd = max(den.bit_length() - _CUT_BITS, 0)
-    n0, d0 = num >> sn, den >> sd  # a cut operand lies in [x0, x0 + 1) * 2**shift
-    lo = _DOWN.divide(n0, d0 + (sd > 0))
-    hi = _UP.divide(n0 + (sn > 0), d0)
-    k = sn - sd
-    if k >= 0:
-        return _DOWN.multiply(lo, _pow2(k, _DOWN)), _UP.multiply(hi, _pow2(k, _UP))
-    return _DOWN.divide(lo, _pow2(-k, _UP)), _UP.divide(hi, _pow2(-k, _DOWN))
 
 
 def decimal_str(x) -> str:
     """x to 15 significant digits, as ``'%.15g'`` prints it.
 
     Values outside the range of normal floats are rounded on the rational
-    instead, half to even, rather than overflowing or flushing to 0.  Rounding
-    is monotonic, so when both ends of `_cut_bounds` round to the same 15
-    digits, so does x; otherwise x lies within the cut's error of a tie, and
-    the exact `decimal` division, which is correctly rounded, decides.
+    instead, half to even, rather than overflowing or flushing to 0: one
+    `_leading` division gives 16 to 18 leading digits and a remainder; the
+    digits past the 15th decide the rounding, and a non-zero remainder puts
+    dropped digits of exactly one half above the tie.
     """
     try:
         f = float(x)
@@ -131,14 +92,16 @@ def decimal_str(x) -> str:
         if abs(f) >= sys.float_info.min or x == 0:
             return f"{f:.{_SIG_DIGITS}g}"
     x = as_rational(x)
-    num, den = abs(x.numerator), x.denominator
-    lo, hi = _cut_bounds(num, den)
-    q = _OFF_RANGE.plus(lo)
-    if q != _OFF_RANGE.plus(hi):
-        q = _OFF_RANGE.divide(decimal.Decimal(num), decimal.Decimal(den))
-    if x < 0:
-        q = q.copy_negate()
-    return format(_OFF_RANGE.normalize(q), f".{_SIG_DIGITS}g")
+    q, r, e = _leading(abs(x.numerator), x.denominator, _SIG_DIGITS + 1)
+    drop = len(str(q)) - _SIG_DIGITS
+    q, rest = divmod(q, 10**drop)
+    half = 5 * 10 ** (drop - 1)
+    if rest > half or rest == half and (r or q & 1):
+        q += 1  # 10**15 when every digit was 9
+    digits = str(q)
+    mantissa = f"{digits[0]}.{digits[1:_SIG_DIGITS]}".rstrip("0").rstrip(".")
+    sign = "-" if x < 0 else ""
+    return f"{sign}{mantissa}e{e + drop + len(digits) - 1:+03d}"
 
 
 def parse_assembly_text(text: str) -> AssemblyDocument:

@@ -50,6 +50,10 @@ Side = Literal["left", "right"]
 #: produce: discretization grids, merged supports and the CLI's member and
 #: point counts.  Read at call time, so it can be lowered for a test.
 DEFAULT_ATOM_CAP = 10**6
+#: Upper bound on the estimated bit length of an operand that a construction
+#: may build: the scaled integer of an n-th root, and the extremal family's
+#: exact expectation.
+DEFAULT_BIT_CAP = 2**18
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,6 +116,22 @@ def clip(text: str) -> str:
     return text if len(text) <= _ECHO_CAP else f"{text[:_ECHO_CAP]}...({len(text)} chars)"
 
 
+def _leading(num: int, den: int, digits: int) -> tuple[int, int, int]:
+    """``(q, r, e)`` with q the leading digits of ``num / den`` and e their scale.
+
+    For positive num and den, e is chosen from the bit lengths alone so that
+    ``q = num // (den * 10**e)`` has `digits` to ``digits + 2`` digits, and
+    one `divmod` gives q and its remainder r (of ``num * 10**-e`` by den when
+    e < 0); r is 0 exactly when ``num / den == q * 10**e``.  With q short, the
+    division costs time about linear in the length of the operands.
+    """
+    e = int((num.bit_length() - den.bit_length() - 1) * _LOG10_2) - digits
+    scale = 5 ** abs(e) << abs(e)  # 10**|e|: the smaller power is the quicker to raise
+    if e < 0:
+        return (*divmod(num * scale, den), e)
+    return (*divmod(num, den * scale), e)
+
+
 def _lead_digits(k: int) -> str:
     """Text as long as `_int_str(k)` that agrees with it in the first
     `_ECHO_CAP` characters, which is all that `clip` shows of a long value.
@@ -124,8 +144,8 @@ def _lead_digits(k: int) -> str:
         return "-" + _lead_digits(-k)
     if k.bit_length() <= 3 * 4300:
         return _int_str(k)
-    cut = int((k.bit_length() - 1) * _LOG10_2) - 2 * _ECHO_CAP  # k has > cut + 80 digits
-    return _int_str(k // 10**cut) + "0" * cut
+    q, _, cut = _leading(k, 1, 2 * _ECHO_CAP)
+    return _int_str(q) + "0" * cut
 
 
 def _lead_str(x: Fraction) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dist import Frozen, _shown, as_rational, fraction_str
+from .dist import DEFAULT_BIT_CAP, Frozen, _shown, as_rational, check_cap, fraction_str
 from .errors import PreconditionError
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -132,7 +132,10 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     enclosure is [r/2**k, (r+1)/2**k]: dyadic endpoints, width 2**-k.
     lo**n < x < hi**n holds by construction: (r+1)**n is an integer above
     floor(x * 2**(k*n)), and lo**n == x would make x a perfect rational
-    power, which the first case has already returned.
+    power, which the first case has already returned.  When the scaled
+    integer would exceed `DEFAULT_BIT_CAP` bits, the root is refused with
+    `ResourceCapExceeded` before either case: both cost time that grows
+    about quadratically with the bits.
     """
     if x < 0:
         raise PreconditionError(f"cannot take an n-th root of a negative value: {_shown(x)}")
@@ -140,11 +143,13 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
         raise PreconditionError("root order must be >= 1")
     if n == 1:
         return Enclosure.exact(x)
+    tol = as_tolerance(tol)
+    k = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**k >= 1/tol
+    check_cap(x.numerator.bit_length() - x.denominator.bit_length() + k * n,
+              "bits of the scaled root operand", DEFAULT_BIT_CAP)
     rn, exact_n = int_nth_root(x.numerator, n)
     rd, exact_d = int_nth_root(x.denominator, n)
     if exact_n and exact_d:
         return Enclosure.exact(Fraction(rn, rd))
-    tol = as_tolerance(tol)
-    k = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**k >= 1/tol
     r, _ = int_nth_root((x.numerator << (k * n)) // x.denominator, n)
     return Enclosure(Fraction(r, 1 << k), Fraction(r + 1, 1 << k))

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import performance_bounds
-from .dist import Assembly, FiniteDistribution, _fields_repr, _shown, as_rational
+from .dist import (DEFAULT_BIT_CAP, Assembly, FiniteDistribution, _fields_repr, _shown,
+                   as_rational, check_cap)
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
@@ -106,8 +107,15 @@ def _staggered(delta: Fraction, n: int) -> tuple[Fraction, ...]:
 
 def _values(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> list[Fraction]:
     """The non-zero values x_k = M_k / (1 - p_k^n), refused unless they rise
-    strictly from above the constant member at the top target."""
+    strictly from above the constant member at the top target.
+
+    Refuses first when n**2 times the bits of the longest zero-mass
+    denominator, an estimate of the exact E[X_max]'s denominator, exceeds
+    `DEFAULT_BIT_CAP`.
+    """
     n = len(m_list)
+    check_cap(n * n * max((p.denominator.bit_length() for p in ps), default=0),
+              "estimated bits of the exact expectation", DEFAULT_BIT_CAP)
     m_top = m_list[-1]
     xs = [m_k / (1 - p_k**n) for m_k, p_k in zip(m_list[:-1], ps)]
     ordered = all(x < y for x, y in zip(xs, xs[1:])) and (not xs or m_top < xs[0])

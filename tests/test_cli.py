@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import FiniteDistribution, as_rational, extremal, full_report
@@ -43,6 +43,8 @@ n: 2
 member: 0:1/2 1:1/2
 member: 0:1/4 1:3/4
 """
+
+FOUR_MEMBERS = "member: 0:1/2 1:1/2\nmember: 0:1/4 1:3/4\n" * 2
 
 
 class TestFileFormat:
@@ -262,7 +264,8 @@ class TestLongAndHugeValues:
         rng = random.Random(24)
         bits = int(300_000 / math.log10(2))
         for x in (F(rng.getrandbits(bits) | 1 << bits - 1, 7),
-                  F(-3, rng.getrandbits(bits) | 1 << bits - 1)):
+                  F(-3, rng.getrandbits(bits) | 1 << bits - 1),
+                  F(1234567890123425 * 10**300_000)):  # an exact 15-digit tie
             t0 = time.perf_counter()
             decimal_str(x)
             assert time.perf_counter() - t0 < 0.1
@@ -633,6 +636,23 @@ class TestSizeCaps:
         assert code == EXIT_PRECONDITION
         assert err == f"error: {option} 11 exceeds the cap 10\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{dir}/bound.txt"],
+        ["transform", "{dir}/four.txt", "--op", "down", "--lo", "0", "--hi", "1e100000",
+         "--out", "{dir}/o.txt"],
+        ["extremal", "--n", "1003", "--equal", "1", "--epsilon", "1000000",
+         "--out", "{dir}/o.txt"],
+        ["sweep", "--extremal-n", "1003", "--equal", "1", "--points", "1/2",
+         "--out", "{dir}/o.csv"],
+    ], ids=["root-bound", "root-hi", "extremal", "extremal-sweep"])
+    def test_operand_growth_above_the_bit_cap(self, tmp_path, argv):
+        (tmp_path / "four.txt").write_text(FOUR_MEMBERS)
+        (tmp_path / "bound.txt").write_text("bound: 1e100000\n" + FOUR_MEMBERS)
+        t0 = time.perf_counter()
+        code, err = _run_quietly([a.format(dir=tmp_path) for a in argv])
+        assert time.perf_counter() - t0 < 1
+        assert code == EXIT_PRECONDITION, err
+
 
 # ---------------------------------------------------------------------------
 # every valid document verifies
@@ -832,7 +852,7 @@ def documents(draw):
     if draw(st.booleans()):
         lines.insert(0, f"n: {draw(st.sampled_from(['1', '2', '3', 'x', '-1', '7' * 5000]))}")
     if draw(st.booleans()):
-        lines.insert(0, f"bound: {draw(st.sampled_from(DOC_VALUES + ['1/4']))}")
+        lines.insert(0, f"bound: {draw(st.sampled_from(DOC_VALUES + ['1/4', '1e100000']))}")
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["name: x", "# note", "bogus: 1", "no colon", ""])))
@@ -860,6 +880,7 @@ def _exits_cleanly(doc: bytes, argv: list[str]) -> None:
 @settings(max_examples=200, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=documents())
+@example(doc=("bound: 1e100000\n" + FOUR_MEMBERS).encode())  # a root past the bit cap
 def test_hostile_documents_exit_cleanly(doc_path, doc):
     doc_path.write_bytes(doc)
     _exits_cleanly(doc, ["verify", str(doc_path)])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from maxmix import Enclosure, PreconditionError, int_nth_root, nth_root
+from maxmix import (DEFAULT_BIT_CAP, Enclosure, PreconditionError, ResourceCapExceeded,
+                    int_nth_root, nth_root)
 from maxmix.enclosure import as_tolerance
 
 
@@ -138,6 +139,20 @@ class TestNthRoot:
     def test_rejects_negative_radicand(self):
         with pytest.raises(PreconditionError):
             nth_root(F(-1, 2), 2)
+
+    @pytest.mark.parametrize("x, n, tol", [
+        (F(3, 7), 8, F(1, 10**100000)),  # 2**332193 >= 1/tol
+        (F(10) ** 100000, 2, F(1, 10**12)),  # a perfect power is refused as well
+        (F(1, 2), 2, F(1, 2**DEFAULT_BIT_CAP)),
+    ])
+    def test_scaled_operand_above_the_bit_cap(self, x, n, tol):
+        with pytest.raises(ResourceCapExceeded, match="bits of the scaled root operand"):
+            nth_root(x, n, tol)
+
+    def test_scaled_operand_at_the_bit_cap(self):
+        k = DEFAULT_BIT_CAP // 2  # x = 1/2 takes one bit off 2 * k
+        got = nth_root(F(1, 2), 2, F(1, 2**k))
+        assert got.width == F(1, 2**k) and got.lo**2 < F(1, 2) < got.hi**2
 
 
 class TestEnclosureArithmetic:
