@@ -25,36 +25,33 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def performance_bounds(m_list, n: int) -> tuple[Fraction, Fraction]:
+def performance_bounds(m_list) -> tuple[Fraction, Fraction]:
     """Lower and upper bounds on E[X_max] from the similar means alone.
 
-    Returns ``(mean(M), mean(M) + (n-1)/n * max(M))``.  Pure formula; no
-    distributions are needed.
+    Returns ``(mean(M), mean(M) + (n-1)/n * max(M))`` with n the length of
+    ``m_list``.  Pure formula; no distributions are needed.
     """
     ms = tuple(as_rational(m) for m in m_list)
     if not ms:
         raise PreconditionError("m_list must not be empty")
-    if len(ms) != n:
-        raise PreconditionError(f"expected {n} entries in m_list, got {len(ms)}")
     if any(m < 0 for m in ms):
         raise PreconditionError("similar means must be non-negative")
+    n = len(ms)
     m_bar = sum(ms, _ZERO) / n
     return m_bar, m_bar + Fraction(n - 1, n) * max(ms)
 
 
-def grouped_bounds(m_list, k: int, m: int) -> tuple[Fraction, Fraction]:
-    """Bounds for an assembly made of k groups of m identical members each.
+def grouped_bounds(m_list, k: int) -> tuple[Fraction, Fraction]:
+    """Bounds for an assembly made of k groups of identical members, equal in size.
 
     The grouping sharpens the slack factor from (n-1)/n to (k-1)/k.  The
     caller is responsible for the groups actually being identical; only the
-    list of similar means and k enter the formula.
+    list of similar means and k, which must divide its length, enter it.
     """
     ms = tuple(as_rational(x) for x in m_list)
-    if k < 1 or m < 1 or k * m != len(ms):
-        raise PreconditionError(
-            f"group shape {k}x{m} does not match {len(ms)} members"
-        )
-    m_bar, _ = performance_bounds(ms, len(ms))
+    if k < 1 or len(ms) % k:
+        raise PreconditionError(f"{k} equal groups do not split {len(ms)} members")
+    m_bar, _ = performance_bounds(ms)
     return m_bar, m_bar + Fraction(k - 1, k) * max(ms)
 
 
@@ -84,16 +81,17 @@ def mixture_dominance_check(a: Assembly) -> bool:
     return all(p * mix_den_n <= m**n * prod_den for p, m in zip(prod_nums, mix_nums))
 
 
-def holder_lower(m_list, b, n: int, tol=DEFAULT_TOL) -> Enclosure:
+def holder_lower(m_list, b, *, tol=DEFAULT_TOL) -> Enclosure:
     """Bounded-support lower bound  b - (prod_i (b - M_i))**(1/n).
 
-    Valid whenever b bounds every member's support.  Improves on mean(M)
-    (power-mean inequality) while still being a function of M_1..M_n only.
-    The single n-th root is bracketed on exact rationals to width <= tol.
+    Valid whenever b bounds every member's support; n is the length of
+    ``m_list``.  Improves on mean(M) (power-mean inequality) while still
+    being a function of M_1..M_n only.  The single n-th root is bracketed on
+    exact rationals to width <= tol.
     """
     ms = tuple(as_rational(m) for m in m_list)
-    if len(ms) != n or not ms:
-        raise PreconditionError(f"expected {n} entries in m_list, got {len(ms)}")
+    if not ms:
+        raise PreconditionError("m_list must not be empty")
     b = as_rational(b)
     for m in ms:
         if m < 0:
@@ -106,7 +104,7 @@ def holder_lower(m_list, b, n: int, tol=DEFAULT_TOL) -> Enclosure:
     prod = _ONE
     for m in ms:
         prod *= b - m
-    root = nth_root(prod, n, tol)
+    root = nth_root(prod, len(ms), tol)
     return Enclosure(b - root.hi, b - root.lo)
 
 
@@ -161,7 +159,7 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
         )
     gap = Enclosure(ev_lo - e_mix, ev_hi - e_mix)
     mixture_form = Enclosure(ev_lo - e_u, ev_hi - e_u)
-    m_bar, upper = performance_bounds(a.similar_means(), n)
+    m_bar, upper = performance_bounds(a.similar_means())
     bound = upper - m_bar
 
     if gap.hi < 0:
@@ -202,48 +200,42 @@ class ChainChecks(NamedTuple):
         )
 
 
-class _BoundReportFields(NamedTuple):
-    n: int
+class BoundReport(NamedTuple):
+    """Every quantity in the bound chain for one assembly.
+
+    The summaries derive from the fields `full_report` computes.  ``theta``
+    is the mixing factor E[X_max] / max(M), 1 by convention for the all-zero
+    assembly (where both sides vanish).  ``mixture_e`` depends on the member
+    distributions, not on M_1..M_n alone, unlike the other bounds.
+    """
+
     m_list: tuple[Fraction, ...]
-    m_bar: Fraction
-    m_max: Fraction
     exact_e: Fraction
     mixture_e: Fraction
-    upper: Fraction
-    theta: Fraction
     chain: ChainChecks
     holder: Enclosure | None = None
 
     __repr__ = _fields_repr
 
+    @property
+    def n(self) -> int:
+        return len(self.m_list)
 
-class BoundReport(_BoundReportFields):
-    """Every quantity in the bound chain for one assembly.
+    @property
+    def m_bar(self) -> Fraction:
+        return performance_bounds(self.m_list)[0]
 
-    ``theta`` is the mixing factor E[X_max] / max(M); by convention it is 1
-    for the degenerate all-zero assembly (where both sides vanish).
-    ``mixture_e`` is distribution-dependent: it cannot be written in terms of
-    M_1..M_n alone, unlike the other bounds.  Construction checks that the
-    summary fields agree with ``m_list``.
-    """
+    @property
+    def m_max(self) -> Fraction:
+        return max(self.m_list)
 
-    __slots__ = ()
+    @property
+    def upper(self) -> Fraction:
+        return performance_bounds(self.m_list)[1]
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.m_list) != self.n:
-            raise InvariantViolation("m_list length disagrees with n")
-        if self.m_bar * self.n != sum(self.m_list, _ZERO):
-            raise InvariantViolation("m_bar is not the mean of m_list")
-        if self.m_max != max(self.m_list):
-            raise InvariantViolation("m_max is not the max of m_list")
-        if self.theta * self.m_max != self.exact_e:
-            raise InvariantViolation("theta * m_max != exact_e")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
-        return cls(*iterable)
+    @property
+    def theta(self) -> Fraction:
+        return self.exact_e / self.m_max if self.m_max else _ONE
 
 
 def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
@@ -255,16 +247,12 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
     and read the enclosure's far endpoint.
     """
     tol = as_tolerance(tol)
-    n = a.n
     m_list = a.similar_means()
-    m_bar, upper = performance_bounds(m_list, n)
-    m_max = max(m_list)
+    m_bar, upper = performance_bounds(m_list)
     exact_e = a.expected_max()
     mixture_e = mixture_lower(a)
-    theta = exact_e / m_max if m_max else _ONE
 
     holder = None
-    holder_le_exact = mean_le_holder = None
     if b is not None:
         b = as_rational(b)
         if b < a.support_max:
@@ -272,23 +260,18 @@ def full_report(a: Assembly, b=None, tol=DEFAULT_TOL) -> BoundReport:
                 f"bound {_shown(b)} is below the assembly support maximum "
                 f"{_shown(a.support_max)}"
             )
-        holder = holder_lower(m_list, b, n, tol)
-        # decided from the endpoints: the enclosure is at most tol wide, so
-        # both hold for every valid input
-        holder_le_exact = holder.hi <= exact_e + tol
-        mean_le_holder = m_bar <= holder.lo + tol
+        holder = holder_lower(m_list, b, tol=tol)
 
     chain = ChainChecks(
         mean_le_mixture=m_bar <= mixture_e,
         mixture_le_exact=mixture_e <= exact_e,
         exact_le_upper=exact_e <= upper,
-        holder_le_exact=holder_le_exact,
-        mean_le_holder=mean_le_holder,
+        # decided from the endpoints: the enclosure is at most tol wide, so
+        # both hold for every valid input
+        holder_le_exact=None if holder is None else holder.hi <= exact_e + tol,
+        mean_le_holder=None if holder is None else m_bar <= holder.lo + tol,
     )
-    return BoundReport(
-        n=n, m_list=m_list, m_bar=m_bar, m_max=m_max, exact_e=exact_e,
-        mixture_e=mixture_e, upper=upper, theta=theta, chain=chain, holder=holder,
-    )
+    return BoundReport(m_list, exact_e, mixture_e, chain, holder)
 
 
 def equality_diagnosis(a: Assembly) -> bool:
@@ -299,7 +282,7 @@ def equality_diagnosis(a: Assembly) -> bool:
     a failure raises InvariantViolation (it would falsify the equality
     condition this function certifies).
     """
-    m_bar, _ = performance_bounds(a.similar_means(), a.n)
+    m_bar, _ = performance_bounds(a.similar_means())
     eq = a.expected_max() == m_bar
     if eq and any(d != a.members[0] for d in a.members[1:]):
         raise InvariantViolation(

@@ -27,8 +27,8 @@ Core types:
   c_{k-1}**n) / (scale * den**n)``.  A similar mean takes a member's own
   row, the mixture bound the mixture row and the expected maximum the
   product row with n = 1: jump sums, one division.
-* `SurvivalStep`: a piecewise-constant right-continuous CDF, the carrier
-  for the distribution of a maximum as a product of step CDFs.
+* `SurvivalStep`: a piecewise-constant right-continuous CDF, the tests'
+  independent path to the CDF of a maximum (the package uses `CdfTable`).
 """
 
 from __future__ import annotations

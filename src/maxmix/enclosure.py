@@ -12,12 +12,16 @@ smallest non-negative integer such that 2**-k <= tol, and the floor root r
 of the scaled integer gives the dyadic enclosure [r/2**k, (r+1)/2**k]
 (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, on the integer
 root; Moore, *Interval Analysis*, 1966, on certified intervals).  Perfect
-rational powers are found first and returned exactly.
+rational powers are found first and returned exactly, once a residue test
+modulo a few primes has not ruled them out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count, islice
+from math import isqrt
 
 from .dist import DEFAULT_BIT_CAP, Frozen, _shown, as_rational, check_cap, fraction_str
 from .errors import PreconditionError
@@ -122,6 +126,14 @@ def int_nth_root(x: int, n: int) -> tuple[int, bool]:
     return r, r**n == x
 
 
+@lru_cache(maxsize=None)
+def _residue_primes(n: int) -> tuple[int, ...]:
+    """The first six primes q = 1 (mod n).  Modulo each, an n-th power is 0
+    or an r with r**((q-1)/n) = 1; one non-zero residue in n is such an r."""
+    primes = (q for q in count(n + 1, n) if all(q % p for p in range(2, isqrt(q) + 1)))
+    return tuple(islice(primes, 6))
+
+
 def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     """Enclosure of x**(1/n) for x >= 0, of width <= tol.
 
@@ -135,7 +147,9 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     power, which the first case has already returned.  When the scaled
     integer would exceed `DEFAULT_BIT_CAP` bits, the root is refused with
     `ResourceCapExceeded` before either case: both cost time that grows
-    about quadratically with the bits.
+    about quadratically with the bits.  The first case, which roots the
+    whole operands, runs only when both pass the `_residue_primes` test,
+    and is refused in the same way when either has more bits than the cap.
     """
     if x < 0:
         raise PreconditionError(f"cannot take an n-th root of a negative value: {_shown(x)}")
@@ -147,9 +161,13 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     k = (-(-tol.denominator // tol.numerator) - 1).bit_length()  # 2**k >= 1/tol
     check_cap(x.numerator.bit_length() - x.denominator.bit_length() + k * n,
               "bits of the scaled root operand", DEFAULT_BIT_CAP)
-    rn, exact_n = int_nth_root(x.numerator, n)
-    rd, exact_d = int_nth_root(x.denominator, n)
-    if exact_n and exact_d:
-        return Enclosure.exact(Fraction(rn, rd))
+    if all(pow(v % q, (q - 1) // n, q) < 2
+           for v in (x.numerator, x.denominator) for q in _residue_primes(n)):
+        check_cap(max(x.numerator.bit_length(), x.denominator.bit_length()),
+                  "bits of a perfect-power candidate", DEFAULT_BIT_CAP)
+        rn, exact_n = int_nth_root(x.numerator, n)
+        rd, exact_d = int_nth_root(x.denominator, n)
+        if exact_n and exact_d:
+            return Enclosure.exact(Fraction(rn, rd))
     r, _ = int_nth_root((x.numerator << (k * n)) // x.denominator, n)
     return Enclosure(Fraction(r, 1 << k), Fraction(r + 1, 1 << k))

@@ -90,7 +90,7 @@ def theta_sup(n: int) -> Fraction:
 
 def gap(a: Assembly) -> Fraction:
     """Exact slack of the upper bound: mean(M) + (n-1)/n * max(M) - E[X_max]."""
-    return performance_bounds(a.similar_means(), a.n)[1] - a.expected_max()
+    return performance_bounds(a.similar_means())[1] - a.expected_max()
 
 
 def _staggered(delta: Fraction, n: int) -> tuple[Fraction, ...]:
@@ -153,7 +153,7 @@ def _family_gap(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Fract
     e = m_list[-1]
     for x_k, p_k in zip(_values(m_list, ps), ps):
         e = e * p_k + x_k * (1 - p_k)
-    return performance_bounds(m_list, len(m_list))[1] - e
+    return performance_bounds(m_list)[1] - e
 
 
 def build(spec: ExtremalSpec) -> Assembly:

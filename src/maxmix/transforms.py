@@ -41,14 +41,6 @@ _ONE = Fraction(1)
 Direction = Literal["increased", "decreased", "unchanged"]
 
 
-def _direction_of(e_delta: Fraction) -> Direction:
-    if e_delta > 0:
-        return "increased"
-    if e_delta < 0:
-        return "decreased"
-    return "unchanged"
-
-
 class TransformOutcome(NamedTuple):
     """A transformed distribution (or assembly) plus its certificates.
 
@@ -64,10 +56,17 @@ class TransformOutcome(NamedTuple):
     result: FiniteDistribution | Assembly
     m_residual: Fraction | tuple[Fraction, ...]
     e_delta: Fraction
-    direction: Direction
     alphas: tuple[Fraction | None, ...] | None = None
 
     __repr__ = _fields_repr
+
+    @property
+    def direction(self) -> Direction:
+        if self.e_delta > 0:
+            return "increased"
+        if self.e_delta < 0:
+            return "decreased"
+        return "unchanged"
 
 
 def _payoff_delta(d: FiniteDistribution, result: FiniteDistribution,
@@ -128,7 +127,7 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
             f"coalesce payoff certificate failed: delta {_shown(e_delta)}, "
             f"closed form {_shown(certificate)}"
         )
-    return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
+    return TransformOutcome(result, _ZERO, e_delta)
 
 
 def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
@@ -205,7 +204,7 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     e_delta = _payoff_delta(d, result, companion, n, "reduce_pair")
     if e_delta < 0:
         raise InvariantViolation(f"reduce_pair decreased the payoff by {_shown(-e_delta)}")
-    return TransformOutcome(result, _ZERO, e_delta, _direction_of(e_delta))
+    return TransformOutcome(result, _ZERO, e_delta)
 
 
 def phi(u, v, p, n: int) -> Fraction:
@@ -307,6 +306,4 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
         raise InvariantViolation(
             f"down projection increased the expected max by {_shown(e_delta)}"
         )
-    return TransformOutcome(
-        result, tuple(residuals), e_delta, _direction_of(e_delta), tuple(alphas)
-    )
+    return TransformOutcome(result, tuple(residuals), e_delta, tuple(alphas))

@@ -139,13 +139,13 @@ def test_c5_bounded_lower_bound():
         if b == 0:
             continue
         m_list = a.similar_means()
-        hl = holder_lower(m_list, b, a.n)
+        hl = holder_lower(m_list, b)
         m_bar = sum(m_list) / a.n
         assert m_bar - slack <= hl.midpoint <= a.expected_max() + slack
 
     for _ in range(200):
         a, b = random_two_point_assembly(rng)
-        hl = holder_lower(a.similar_means(), b, a.n)
+        hl = holder_lower(a.similar_means(), b)
         assert hl.midpoint >= mixture_lower(a) - slack
     _passed("criterion 5: bounded lower bound within budget on 200+200 assemblies")
 

@@ -37,35 +37,35 @@ def two_point(p, b=F(1)):
 
 class TestPerformanceBounds:
     def test_equal_means(self):
-        assert performance_bounds([F(1), F(1)], 2) == (F(1), F(3, 2))
+        assert performance_bounds([F(1), F(1)]) == (F(1), F(3, 2))
 
     def test_single_member(self):
-        assert performance_bounds([F(5)], 1) == (F(5), F(5))
+        assert performance_bounds([F(5)]) == (F(5), F(5))
 
     def test_mixed_means(self):
-        assert performance_bounds([F(1), F(2), F(3)], 3) == (F(2), F(4))
+        assert performance_bounds([F(1), F(2), F(3)]) == (F(2), F(4))
 
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(PreconditionError):
-            performance_bounds([], 0)
-        with pytest.raises(PreconditionError):
-            performance_bounds([F(1)], 2)
+    def test_rejects_empty(self):
+        with pytest.raises(PreconditionError, match="must not be empty"):
+            performance_bounds([])
 
 
 class TestGroupedBounds:
     def test_single_group_collapses(self):
-        assert grouped_bounds([F(2)] * 4, 1, 4) == (F(2), F(2))
+        assert grouped_bounds([F(2)] * 4, 1) == (F(2), F(2))
 
     def test_all_singletons_match_plain_bounds(self):
         ms = [F(1), F(2), F(5)]
-        assert grouped_bounds(ms, 3, 1) == performance_bounds(ms, 3)
+        assert grouped_bounds(ms, 3) == performance_bounds(ms)
 
     def test_two_by_two(self):
-        assert grouped_bounds([F(1), F(1), F(3), F(3)], 2, 2) == (F(2), F(7, 2))
+        assert grouped_bounds([F(1), F(1), F(3), F(3)], 2) == (F(2), F(7, 2))
 
     def test_rejects_bad_shape(self):
+        with pytest.raises(PreconditionError, match="3 equal groups do not split 4 members"):
+            grouped_bounds([F(1)] * 4, 3)
         with pytest.raises(PreconditionError):
-            grouped_bounds([F(1)] * 4, 2, 3)
+            grouped_bounds([F(1)] * 4, 0)
 
 
 class TestMixtureLower:
@@ -102,22 +102,28 @@ class TestMixtureDominance:
 
 class TestHolderLower:
     def test_equal_means_collapse_exactly(self):
-        got = holder_lower([F(3, 4), F(3, 4)], F(1), 2)
+        got = holder_lower([F(3, 4), F(3, 4)], F(1))
         assert got.is_exact and got.lo == F(3, 4)
 
     def test_mixed_means_bracket_the_surd(self):
-        got = holder_lower([F(1, 2), F(3, 4)], F(1), 2)
+        got = holder_lower([F(1, 2), F(3, 4)], F(1))
         truth = 1 - math.sqrt(2) / 4
         assert got.width <= 2 * F(1, 10**12)
         assert abs(float(got.midpoint) - truth) < 1e-9
 
     def test_mean_touching_the_bound_forces_b(self):
-        got = holder_lower([F(1), F(1, 2)], F(1), 2)
+        got = holder_lower([F(1), F(1, 2)], F(1))
         assert got.is_exact and got.lo == F(1)
+
+    def test_tolerance_is_keyword_only(self):
+        # a member count in third place must not pass for the tolerance
+        with pytest.raises(TypeError):
+            holder_lower([F(1, 2), F(3, 4)], F(1), 2)
+        assert holder_lower([F(1, 2), F(3, 4)], F(1), tol=F(1, 4)).width <= F(1, 4)
 
     def test_rejects_mean_above_bound(self):
         with pytest.raises(PreconditionError, match="common upper bound"):
-            holder_lower([F(2)], F(1), 1)
+            holder_lower([F(2)], F(1))
 
     def test_dominates_the_mean_bound(self):
         rng = random.Random(22)
@@ -125,7 +131,7 @@ class TestHolderLower:
         for _ in range(40):
             a, b = random_two_point_assembly(rng)
             ms = a.similar_means()
-            got = holder_lower(ms, b, a.n)
+            got = holder_lower(ms, b)
             assert got.midpoint >= sum(ms) / a.n - tol
 
 
@@ -268,10 +274,11 @@ class TestEqualityDiagnosis:
         assert not equality_diagnosis(a)
 
 
+@seed(1_425_021)
 @given(st.integers(2, 6), st.fractions(min_value=0, max_value=8, max_denominator=16))
 @settings(max_examples=40)
 def test_equal_mean_formula_bounds(n, m):
-    lower, upper = performance_bounds([m] * n, n)
+    lower, upper = performance_bounds([m] * n)
     assert lower == m
     assert upper == (2 - F(1, n)) * m
 
@@ -281,7 +288,7 @@ def test_equal_mean_formula_bounds(n, m):
 @given(st.integers(0, 2**32))
 def test_one_upper_bound_formula(s):
     a = random_assembly(random.Random(s), max_atoms=4)
-    m_bar, upper = performance_bounds(a.similar_means(), a.n)
+    m_bar, upper = performance_bounds(a.similar_means())
     assert full_report(a).upper == upper
     assert gap(a) + a.expected_max() == upper
     assert gam_gap(a, tol=F(1, 10**6)).bound == upper - m_bar

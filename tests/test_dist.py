@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from maxmix import (
@@ -115,6 +115,7 @@ class TestCdf:
         d = dist((0, F(1, 3)), (2, F(1, 3)), (5, F(1, 3)))
         assert d.cdf(3) == F(2, 3)
 
+    @seed(1_425_031)
     @given(distributions(), st.integers(0, 30))
     def test_left_right_gap_is_the_atom_mass(self, d, k):
         x = F(k, 4)
@@ -147,6 +148,7 @@ class TestExpectedMax:
                       dist((0, F(1, 2)), (3, F(1, 2)))))
         assert a.expected_max() == F(5, 2)
 
+    @seed(1_425_032)
     @given(assemblies())
     @settings(max_examples=60)
     def test_bracketed_by_member_means(self, a):
@@ -172,6 +174,7 @@ class TestSimilarMaxMean:
         d = dist((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))
         assert d.similar_max_mean(2) == F(13, 9)
 
+    @seed(1_425_033)
     @given(distributions(), st.integers(1, 4))
     @settings(max_examples=60)
     def test_matches_assembly_of_copies(self, d, n):
@@ -199,6 +202,7 @@ class TestMixture:
                       dist((0, F(1, 4)), (2, F(3, 4)))))
         assert a.mixture() == dist((0, F(3, 8)), (1, F(1, 4)), (2, F(3, 8)))
 
+    @seed(1_425_034)
     @given(assemblies())
     @settings(max_examples=60)
     def test_mean_is_linear(self, a):

@@ -1,5 +1,6 @@
 """Tests for the rational enclosure arithmetic and the n-th root bracketing."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from maxmix import (DEFAULT_BIT_CAP, Enclosure, PreconditionError, ResourceCapExceeded,
                     int_nth_root, nth_root)
-from maxmix.enclosure import as_tolerance
+from maxmix.enclosure import DEFAULT_TOL, as_tolerance
 
 
 def bisected_root(x: F, n: int, tol: F) -> Enclosure:
@@ -27,6 +28,24 @@ def bisected_root(x: F, n: int, tol: F) -> Enclosure:
         else:
             hi = mid
     return Enclosure(lo, hi)
+
+
+def dyadic_root(x: F, n: int, tol: F) -> Enclosure:
+    """The root as rooting both operands first would give it.
+
+    Exact for a perfect rational power; otherwise [r/2**k, (r+1)/2**k] with
+    2**-k the largest power of two at most tol and r the floor root of
+    x * 2**(k*n).
+    """
+    rn, exact_n = int_nth_root(x.numerator, n)
+    rd, exact_d = int_nth_root(x.denominator, n)
+    if exact_n and exact_d:
+        return Enclosure.exact(F(rn, rd))
+    k = 0
+    while F(1, 2**k) > tol:
+        k += 1
+    r, _ = int_nth_root(x.numerator * 2 ** (k * n) // x.denominator, n)
+    return Enclosure(F(r, 2**k), F(r + 1, 2**k))
 
 
 #: Above this many bits of numerator plus denominator the bisection is too
@@ -79,6 +98,7 @@ class TestIntNthRoot:
         with pytest.raises(PreconditionError):
             int_nth_root(-1, 2)
 
+    @seed(1_425_011)
     @given(integers_of_up_to(20_000), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_floor_root_property(self, x, n):
@@ -101,6 +121,7 @@ class TestNthRoot:
     def test_order_one_is_identity(self):
         assert nth_root(F(7, 5), 1) == Enclosure.exact(F(7, 5))
 
+    @seed(1_425_012)
     @given(st.fractions(min_value=0, max_value=100, max_denominator=1000),
            st.integers(2, 6))
     @settings(max_examples=80)
@@ -153,6 +174,37 @@ class TestNthRoot:
         k = DEFAULT_BIT_CAP // 2  # x = 1/2 takes one bit off 2 * k
         got = nth_root(F(1, 2), 2, F(1, 2**k))
         assert got.width == F(1, 2**k) and got.lo**2 < F(1, 2) < got.hi**2
+
+    def test_long_operands_near_one_are_cheap(self):
+        # 261 519-bit operands whose ratio passes the scaled-operand cap:
+        # the numerator is no fourth power modulo 5, so neither whole
+        # operand is rooted
+        d = 3**165000
+        start = time.perf_counter()
+        got = nth_root(F(d + 1, d), 4)
+        assert time.perf_counter() - start < 0.05
+        assert got == Enclosure(F(1), F(2**40 + 1, 2**40))
+
+    def test_long_perfect_power_candidate_above_the_bit_cap(self):
+        e = 3**83000  # e**2 has 263 104 bits
+        with pytest.raises(ResourceCapExceeded, match="bits of a perfect-power candidate"):
+            nth_root(F(2 * e, e + 1) ** 2, 2)
+
+    @pytest.mark.parametrize("x, n", [(246, 2), (806, 3), (3331, 4)])
+    def test_non_power_passing_every_residue_test(self, x, n):
+        assert nth_root(F(x), n) == dyadic_root(F(x), n, DEFAULT_TOL)
+
+    @seed(1_425_013)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(2, 12), radicands,
+           tolerances)
+    @example(5 * 13 * 17, 37, 4, F(2), F(1, 10**12))  # operands divisible by a residue prime
+    def test_perfect_powers_stay_exact_and_others_keep_their_endpoints(self, a, b, n, y,
+                                                                       tol):
+        x = F(a, b) ** n
+        assert nth_root(x, n, tol) == Enclosure.exact(F(a, b))
+        for z in (x + F(1, 2 * b**n), y):
+            assert nth_root(z, n, tol) == dyadic_root(z, n, tol)
 
 
 class TestEnclosureArithmetic:

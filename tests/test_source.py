@@ -13,6 +13,9 @@ may import it for annotations.
 Every ``NamedTuple`` record defines ``__repr__``: the generated one writes a
 field with ``repr``, and ``Fraction.__repr__`` raises past the interpreter's
 digit limit.
+
+Every Hypothesis test under ``tests`` carries a ``@seed``, so the suite draws
+the same examples on every run.
 """
 
 import ast
@@ -20,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "maxmix"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "maxmix"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -70,3 +74,20 @@ def test_named_tuple_records_define_repr(path):
                and any(ast.unparse(base).split(".")[-1] == "NamedTuple" for base in node.bases)
                and not _defines_repr(node)]
     assert not missing, f"{path.name}: NamedTuple classes without __repr__: {missing}"
+
+
+def _decorator_names(node) -> set[str]:
+    names = set()
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        names.add(ast.unparse(target).split(".")[-1])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda p: p.name)
+def test_hypothesis_tests_are_seeded(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unseeded = [node.name for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and {"given", "seed"} & _decorator_names(node) == {"given"}]
+    assert not unseeded, f"{path.name}: @given tests without @seed: {unseeded}"
