@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
     ResourceCapExceeded,
 )
-from .extremal import ExtremalSpec, build, gap, theta_sup
+from .extremal import build, gap, realize, theta_sup
 from .oracle import McEstimate, enumerate_expected_max, mc_expected_max
 from .transforms import TransformOutcome, coalesce, down_project, phi, reduce_pair
 
@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_BIT_CAP",
     "DEFAULT_TOL",
     "Enclosure",
-    "ExtremalSpec",
     "FiniteDistribution",
     "GamGapReport",
     "InvariantViolation",
@@ -77,6 +76,7 @@ __all__ = [
     "mc_expected_max",
     "nth_root",
     "phi",
+    "realize",
     "reduce_pair",
     "mixture_dominance_check",
     "mixture_lower",

@@ -111,16 +111,14 @@ def holder_lower(m_list, b, *, tol=DEFAULT_TOL) -> Enclosure:
 class GamGapReport(NamedTuple):
     """The L1 gap between arithmetic and geometric means of the member CDFs.
 
-    ``gap`` integrates (mean_i F_i - (prod_i F_i)**(1/n)) over the support.
-    ``gap_mixture_form`` is the same quantity computed as E[V] - E[U], where
-    U is the equally-weighted mixture of the members and V is the variable
-    whose n-copy maximum is distributed as the assembly maximum.  ``bound``
-    is (1 - 1/n) * max_i M_i.
+    ``gap`` integrates (mean_i F_i - (prod_i F_i)**(1/n)) over the support,
+    which is E[V] - E[U], where U is the equally-weighted mixture of the
+    members and V is the variable whose n-copy maximum is distributed as the
+    assembly maximum.  ``bound`` is (1 - 1/n) * max_i M_i.
     """
 
     gap: Enclosure
     bound: Fraction
-    gap_mixture_form: Enclosure
 
     __repr__ = _fields_repr
 
@@ -128,10 +126,10 @@ class GamGapReport(NamedTuple):
 def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
     """Arithmetic-vs-geometric CDF mean gap with a certified enclosure.
 
-    Both forms share one root integral E[V] = integral of 1 - (prod_i F_i)**(1/n):
-    the gap subtracts the mixture row's mean, the mixture form the mean of
-    the members' means.  Those two means must agree exactly, and
-    0 <= gap <= (1 - 1/n) * max_i M_i must hold within the enclosure radius.
+    The gap is the root integral E[V] = integral of 1 - (prod_i F_i)**(1/n)
+    less the mixture row's mean E[U], which must equal the mean of the
+    members' means exactly, and 0 <= gap <= (1 - 1/n) * max_i M_i must hold
+    within the enclosure radius.
     Raises InvariantViolation if any of these certified facts fails.
     """
     tol = as_tolerance(tol)
@@ -158,7 +156,6 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
             f"integral and mixture forms of the gap disagree by {_shown(e_mix - e_u)}"
         )
     gap = Enclosure(ev_lo - e_mix, ev_hi - e_mix)
-    mixture_form = Enclosure(ev_lo - e_u, ev_hi - e_u)
     m_bar, upper = performance_bounds(a.similar_means())
     bound = upper - m_bar
 
@@ -169,7 +166,7 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
         raise InvariantViolation(
             f"CDF mean gap [{_shown(gap.lo)}, {_shown(gap.hi)}] certified above "
             f"bound {_shown(bound)}")
-    return GamGapReport(gap=gap, bound=bound, gap_mixture_form=mixture_form)
+    return GamGapReport(gap=gap, bound=bound)
 
 
 class ChainChecks(NamedTuple):
@@ -207,6 +204,8 @@ class BoundReport(NamedTuple):
     is the mixing factor E[X_max] / max(M), 1 by convention for the all-zero
     assembly (where both sides vanish).  ``mixture_e`` depends on the member
     distributions, not on M_1..M_n alone, unlike the other bounds.
+    ``m_bar`` and ``upper`` run `performance_bounds` on every read; a caller
+    that needs both takes them from one ``performance_bounds(r.m_list)``.
     """
 
     m_list: tuple[Fraction, ...]

@@ -241,11 +241,12 @@ def cmd_verify(args) -> int:
     print(f"n = {report.n}")
     for i, m in enumerate(report.m_list, start=1):
         _show(f"M_{i}", m)
-    _show("M_bar", report.m_bar)
+    m_bar, upper = bounds.performance_bounds(report.m_list)
+    _show("M_bar", m_bar)
     _show("M_max", report.m_max)
     _show("mixture_E", report.mixture_e)
     _show("exact_E", report.exact_e)
-    _show("upper", report.upper)
+    _show("upper", upper)
     if report.holder is not None:
         _show("holder_lower", report.holder)
     _show("theta", report.theta)
@@ -284,8 +285,10 @@ def cmd_extremal(args) -> int:
             raise PreconditionError(
                 f"--m-list has {len(m_list)} entries but --n is {args.n}"
             )
-    spec = extremal.ExtremalSpec(m_list, args.epsilon, args.p_schedule)
-    a = extremal.build(spec)
+    if args.p_schedule is not None:
+        a = extremal.realize(m_list, args.p_schedule)
+    else:
+        a = extremal.build(m_list, args.epsilon)
 
     report = bounds.full_report(a)
     _show("theta", report.theta)
@@ -362,10 +365,11 @@ def _row_for(param: Fraction, a: Assembly) -> SweepRow:
     report = bounds.full_report(a)
     if not report.chain.all_ok:
         raise InvariantViolation(f"sweep row violates the chain at {_shown(param)}")
+    m_bar, upper = bounds.performance_bounds(report.m_list)
     return SweepRow(
-        parameter=param, m_bar=report.m_bar, mixture_e=report.mixture_e,
-        exact_e=report.exact_e, upper=report.upper, theta=report.theta,
-        gap=report.upper - report.exact_e,
+        parameter=param, m_bar=m_bar, mixture_e=report.mixture_e,
+        exact_e=report.exact_e, upper=upper, theta=report.theta,
+        gap=upper - report.exact_e,
     )
 
 
@@ -399,9 +403,7 @@ def cmd_sweep(args) -> int:
         m_list = (args.equal,) * n
         for delta in points:
             try:
-                spec = extremal.ExtremalSpec(m_list, Fraction(1),
-                                             extremal._staggered(delta, n))
-                build_for[delta] = extremal.build(spec)
+                build_for[delta] = extremal.realize(m_list, extremal._staggered(delta, n))
             except PreconditionError as exc:
                 skipped.append((delta, str(exc)))
 

@@ -12,11 +12,10 @@ instead of taking limits symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .bounds import performance_bounds
-from .dist import (DEFAULT_BIT_CAP, Assembly, FiniteDistribution, _fields_repr, _shown,
-                   as_rational, check_cap)
+from .dist import (DEFAULT_BIT_CAP, Assembly, FiniteDistribution, _shown, as_rational,
+                   check_cap)
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
@@ -30,60 +29,9 @@ _MAX_ROUNDS = 60
 _STAGGER = Fraction(1, 1000)
 
 
-class _ExtremalFields(NamedTuple):
-    m_list: tuple[Fraction, ...]
-    closeness: Fraction
-    p_schedule: tuple[Fraction, ...] | None = None
-
-    __repr__ = _fields_repr
-
-
-class ExtremalSpec(_ExtremalFields):
-    """Targets for the extremal builder.
-
-    ``m_list`` holds the target similar means in ascending order (the last
-    entry, the largest, becomes the constant member).  ``closeness`` is the
-    gap the automatic builder must reach.  ``p_schedule``, when given, fixes
-    the zero masses of the n-1 two-point members explicitly and disables the
-    automatic tightening (the achieved gap is then whatever it is).
-    Construction converts every entry with `as_rational` and checks it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m_list, closeness, p_schedule=None):
-        ms = tuple(as_rational(m) for m in m_list)
-        closeness = as_rational(closeness)
-        if not ms:
-            raise PreconditionError("m_list must not be empty")
-        if any(m <= 0 for m in ms):
-            raise PreconditionError("target similar means must be positive")
-        if any(x > y for x, y in zip(ms, ms[1:])):
-            raise PreconditionError("target similar means must be ascending")
-        if closeness <= 0:
-            raise PreconditionError(f"closeness must be positive, got {_shown(closeness)}")
-        if p_schedule is not None:
-            p_schedule = tuple(as_rational(p) for p in p_schedule)
-            if len(p_schedule) != len(ms) - 1:
-                raise PreconditionError(
-                    f"p_schedule needs {len(ms) - 1} entries, got {len(p_schedule)}"
-                )
-            if any(not 0 < p < 1 for p in p_schedule):
-                raise PreconditionError("every scheduled zero mass must lie in (0, 1)")
-        return super().__new__(cls, ms, closeness, p_schedule)
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
-        return cls(*iterable)
-
-    @property
-    def n(self) -> int:
-        return len(self.m_list)
-
-
 def theta_sup(n: int) -> Fraction:
     """Supremum of the mixing factor over equal-target assemblies: 2 - 1/n."""
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PreconditionError(f"assembly size must be an integer >= 1, got {_shown(n)}")
     return 2 - Fraction(1, n)
 
@@ -127,7 +75,35 @@ def _values(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> list[Frac
     return xs
 
 
-def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly:
+def _targets(m_list) -> tuple[Fraction, ...]:
+    """The target similar means as Fractions, refused unless non-empty,
+    positive and ascending."""
+    ms = tuple(as_rational(m) for m in m_list)
+    if not ms:
+        raise PreconditionError("m_list must not be empty")
+    if any(m <= 0 for m in ms):
+        raise PreconditionError("target similar means must be positive")
+    if any(x > y for x, y in zip(ms, ms[1:])):
+        raise PreconditionError("target similar means must be ascending")
+    return ms
+
+
+def realize(m_list, p_schedule) -> Assembly:
+    """The member of the family with the given zero masses.
+
+    ``m_list`` holds the target similar means in ascending order (the last
+    entry, the largest, becomes the constant member); ``p_schedule`` fixes
+    the zero masses of the n-1 two-point members, each in (0, 1).  Both are
+    converted with `as_rational`.  The ordering of the non-zero values is
+    validated and the realized similar means are checked exactly; the
+    achieved gap is whatever it is, reported by `gap`.
+    """
+    m_list = _targets(m_list)
+    ps = tuple(as_rational(p) for p in p_schedule)
+    if len(ps) != len(m_list) - 1:
+        raise PreconditionError(f"p_schedule needs {len(m_list) - 1} entries, got {len(ps)}")
+    if any(not 0 < p < 1 for p in ps):
+        raise PreconditionError("every scheduled zero mass must lie in (0, 1)")
     xs = _values(m_list, ps)
     members = [FiniteDistribution.from_pairs([(_ZERO, p_k), (x_k, 1 - p_k)])
                for x_k, p_k in zip(xs, ps)]
@@ -140,13 +116,13 @@ def _realize(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Assembly
 
 
 def _family_gap(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Fraction:
-    """`gap` of ``_realize(m_list, ps)`` in closed form, without building it.
+    """`gap` of ``realize(m_list, ps)`` in closed form, without building it.
 
     With m_top < x_1 < ... < x_{n-1}, the maximum is x_j when member j draws
     x_j and every later member draws 0, and m_top when all of them draw 0:
     E[X_max] = sum_j x_j (1 - p_j) prod_{i>j} p_i + m_top prod_i p_i, summed
     here from the bottom as e <- e p_j + x_j (1 - p_j).  Refuses what
-    `_realize` refuses, and zero masses that are not positive.
+    `_values` refuses, and zero masses that are not positive.
     """
     if ps and ps[0] <= 0:  # the staggered masses rise, so ps[0] is the least
         raise PreconditionError(f"zero mass {_shown(ps[0])} is not positive")
@@ -156,29 +132,28 @@ def _family_gap(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Fract
     return performance_bounds(m_list)[1] - e
 
 
-def build(spec: ExtremalSpec) -> Assembly:
-    """Realize the two-point family for the given targets.
+def build(m_list, closeness) -> Assembly:
+    """The member of the family whose exact gap first drops to ``closeness``.
 
-    With an explicit ``p_schedule`` the assembly is built as scheduled (the
-    ordering constraint is validated, the achieved gap is reported by `gap`
-    but not forced under ``closeness``).  Otherwise the zero masses start at
-    1/2 and tighten geometrically toward 1 until the exact gap, taken from
-    the family's closed form, drops to ``closeness``; only that candidate is
-    realized, and `_realize` checks its similar means exactly.
+    ``m_list`` is read as `realize` reads it, and ``closeness`` must be
+    positive.  The zero masses start at 1/2 and tighten geometrically toward
+    1 until the gap, taken from the family's closed form, drops to
+    ``closeness``; only that candidate is realized, by `realize`.
     """
-    if spec.p_schedule is not None:
-        return _realize(spec.m_list, spec.p_schedule)
-
+    m_list = _targets(m_list)
+    closeness = as_rational(closeness)
+    if closeness <= 0:
+        raise PreconditionError(f"closeness must be positive, got {_shown(closeness)}")
     delta = _DELTA_START
     for _ in range(_MAX_ROUNDS):
-        ps = _staggered(delta, spec.n)
+        ps = _staggered(delta, len(m_list))
         try:
-            close = _family_gap(spec.m_list, ps) <= spec.closeness
+            close = _family_gap(m_list, ps) <= closeness
         except PreconditionError:
             close = False
         if close:
-            return _realize(spec.m_list, ps)
+            return realize(m_list, ps)
         delta *= _DELTA_SHRINK
     raise ResourceCapExceeded(
-        f"gap {_shown(spec.closeness)} not reached within {_MAX_ROUNDS} tightening rounds"
+        f"gap {_shown(closeness)} not reached within {_MAX_ROUNDS} tightening rounds"
     )

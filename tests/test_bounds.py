@@ -171,7 +171,6 @@ class TestGamGap:
         d = dist((0, F(1, 3)), (1, F(1, 3)), (3, F(1, 3)))
         report = gam_gap(Assembly((d, d)))
         assert report.gap.is_exact and report.gap.lo == 0
-        assert report.gap_mixture_form.is_exact and report.gap_mixture_form.lo == 0
 
     def test_two_constants_hit_the_bound(self):
         a = Assembly((FiniteDistribution.point_mass(0),
@@ -182,14 +181,11 @@ class TestGamGap:
 
     def test_random_assemblies_obey_the_bound(self):
         rng = random.Random(23)
-        slack = F(1, 10**10)
         for _ in range(40):
             a = random_assembly(rng, n_range=(2, 4), max_atoms=4)
             report = gam_gap(a)
             assert report.gap.hi >= 0
             assert report.gap.lo <= report.bound
-            drift = abs(report.gap.midpoint - report.gap_mixture_form.midpoint)
-            assert drift <= slack
 
     def test_forms_must_agree_exactly(self):
         # a mixture row shifted by one unit moves its mean by about 1e-41,

@@ -421,7 +421,7 @@ class TestSweep:
         m_list = (F(1),) * 3
         for r in rows:
             delta = as_rational(r[0])
-            a = extremal._realize(m_list, extremal._staggered(delta, 3))
+            a = extremal.realize(m_list, extremal._staggered(delta, 3))
             report = full_report(a)
             want = (report.m_bar, report.mixture_e, report.exact_e, report.upper,
                     report.theta, report.upper - report.exact_e)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from maxmix import (
     Assembly,
-    ExtremalSpec,
     FiniteDistribution,
     InvariantViolation,
     PreconditionError,
@@ -17,6 +16,7 @@ from maxmix import (
     full_report,
     gap,
     phi,
+    realize,
     theta_sup,
 )
 from maxmix.cli import EXIT_INVARIANT, main
@@ -27,6 +27,11 @@ class TestThetaSup:
     @pytest.mark.parametrize("n,expected", [(1, F(1)), (2, F(3, 2)), (10, F(19, 10))])
     def test_values(self, n, expected):
         assert theta_sup(n) == expected
+
+    @pytest.mark.parametrize("n", [True, 0, F(3, 2)])
+    def test_refuses_what_is_not_a_count(self, n):
+        with pytest.raises(PreconditionError, match="assembly size must be an integer >= 1"):
+            theta_sup(n)
 
 
 class TestGap:
@@ -48,8 +53,7 @@ class TestGap:
 
 class TestExplicitSchedules:
     def test_moderate_schedule_matches_hand_computation(self):
-        spec = ExtremalSpec((F(1), F(1)), F(1), p_schedule=(F(1, 2),))
-        a = build(spec)
+        a = realize((F(1), F(1)), (F(1, 2),))
         # the two-point member sits at 4/3 above the constant member at 1
         assert a.members[0] == FiniteDistribution.from_pairs(
             [(0, F(1, 2)), (F(4, 3), F(1, 2))]
@@ -61,7 +65,7 @@ class TestExplicitSchedules:
 
     def test_tight_schedule_shrinks_the_gap(self):
         p = 1 - F(1, 10**4)
-        a = build(ExtremalSpec((F(1), F(1)), F(1), p_schedule=(p,)))
+        a = realize((F(1), F(1)), (p,))
         assert gap(a) < F(1, 10**3)
         # closed form: the assembly performance is the payoff curve at p
         assert a.expected_max() == phi(F(1), F(1), p, 2)
@@ -70,13 +74,13 @@ class TestExplicitSchedules:
         gaps = []
         for k in (1, 2, 3):
             p = 1 - F(1, 10**k)
-            gaps.append(gap(build(ExtremalSpec((F(1), F(1)), F(1), (p,)))))
+            gaps.append(gap(realize((F(1), F(1)), (p,))))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_similar_means_hit_targets_exactly(self):
         targets = (F(1, 2), F(2, 3), F(1))
         schedule = (F(9, 10), F(19, 20))
-        a = build(ExtremalSpec(targets, F(1), schedule))
+        a = realize(targets, schedule)
         assert a.similar_means() == targets
 
     def test_missed_targets_are_an_invariant_breach(self, monkeypatch, capsys):
@@ -84,45 +88,43 @@ class TestExplicitSchedules:
         monkeypatch.setattr(Assembly, "similar_means",
                             lambda a: tuple(m + F(1, 10**30) for m in exact(a)))
         with pytest.raises(InvariantViolation, match="similar means"):
-            build(ExtremalSpec((F(1), F(1)), F(1), (F(1, 2),)))
+            realize((F(1), F(1)), (F(1, 2),))
         assert main(["extremal", "--n", "2", "--equal", "1", "--epsilon", "1/10"]) \
             == EXIT_INVARIANT
         assert "internal invariant breach: similar means" in capsys.readouterr().err
 
     def test_rejects_unordered_values(self):
         # equal targets with equal masses give equal non-zero values
-        spec = ExtremalSpec((F(1), F(1), F(1)), F(1), (F(1, 2), F(1, 2)))
         with pytest.raises(PreconditionError, match="order"):
-            build(spec)
+            realize((F(1), F(1), F(1)), (F(1, 2), F(1, 2)))
 
     def test_rejects_value_below_the_constant(self):
         # p too small: the induced value 1/(1 - 1/4) falls below the top target
-        spec = ExtremalSpec((F(1), F(2)), F(1), (F(1, 2),))
         with pytest.raises(PreconditionError):
-            build(spec)
+            realize((F(1), F(2)), (F(1, 2),))
 
 
 class TestAutoBuilder:
     @pytest.mark.parametrize("n,eps", [(2, F(1, 1000)), (3, F(1, 100)), (4, F(1, 10))])
     def test_reaches_the_requested_gap(self, n, eps):
-        a = build(ExtremalSpec((F(1),) * n, eps))
+        a = build((F(1),) * n, eps)
         assert a.n == n
         assert gap(a) <= eps
         assert a.similar_means() == (F(1),) * n
         assert full_report(a).chain.all_ok
 
     def test_theta_approaches_the_supremum(self):
-        a = build(ExtremalSpec((F(1), F(1)), F(1, 10**6)))
+        a = build((F(1), F(1)), F(1, 10**6))
         assert full_report(a).theta >= theta_sup(2) - F(1, 10**6)
 
     def test_unequal_targets(self):
         targets = (F(1, 2), F(3, 4), F(3, 2))
-        a = build(ExtremalSpec(targets, F(1, 100)))
+        a = build(targets, F(1, 100))
         assert a.similar_means() == targets
         assert gap(a) <= F(1, 100)
 
     def test_single_member(self):
-        a = build(ExtremalSpec((F(5),), F(1, 10)))
+        a = build((F(5),), F(1, 10))
         assert a.members == (FiniteDistribution.point_mass(5),)
         assert gap(a) == 0
 
@@ -130,27 +132,29 @@ class TestAutoBuilder:
 class TestSpecValidation:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(PreconditionError):
-            ExtremalSpec((F(1),), F(0))
+            build((F(1),), F(0))
 
     def test_rejects_descending_targets(self):
         with pytest.raises(PreconditionError):
-            ExtremalSpec((F(2), F(1)), F(1))
+            build((F(2), F(1)), F(1))
+        with pytest.raises(PreconditionError):
+            realize((F(2), F(1)), (F(1, 2),))
 
     def test_rejects_bad_schedule(self):
         with pytest.raises(PreconditionError):
-            ExtremalSpec((F(1), F(1)), F(1), (F(1, 2), F(1, 2)))
+            realize((F(1), F(1)), (F(1, 2), F(1, 2)))
         with pytest.raises(PreconditionError):
-            ExtremalSpec((F(1), F(1)), F(1), (F(1),))
+            realize((F(1), F(1)), (F(1),))
 
 
 # ---------------------------------------------------------------------------
 # the closed-form tightening against the loop it replaced
 
 
-def _reference_build(spec: ExtremalSpec) -> Assembly:
+def _reference_build(m_list: tuple[F, ...], closeness: F) -> Assembly:
     """The earlier tightening loop, kept as the reference: each round realizes
     its candidate assembly and accepts it on its exact gap."""
-    n, m_list = spec.n, spec.m_list
+    n = len(m_list)
     delta = F(1, 2)
     for _ in range(60):
         ps = _staggered(delta, n)
@@ -167,7 +171,7 @@ def _reference_build(spec: ExtremalSpec) -> Assembly:
             continue
         a = Assembly((*members, FiniteDistribution.point_mass(m_list[-1])))
         assert a.similar_means() == m_list
-        if gap(a) <= spec.closeness:
+        if gap(a) <= closeness:
             return a
         delta *= F(1, 10)
     raise ResourceCapExceeded("not reached")
@@ -177,7 +181,7 @@ targets = st.fractions(min_value=F(1, 100), max_value=100, max_denominator=1000)
 
 
 @st.composite
-def specs(draw):
+def targets_and_closeness(draw):
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         m_list = [draw(targets)] * n
@@ -186,22 +190,23 @@ def specs(draw):
     closeness = draw(st.one_of(
         st.integers(0, 6).map(lambda k: F(1, 10**k)),
         st.fractions(min_value=F(1, 10**6), max_value=1, max_denominator=10**7)))
-    return ExtremalSpec(m_list, closeness)
+    return tuple(m_list), closeness
 
 
 @seed(2_303_001)
 @settings(max_examples=150, deadline=None)
-@given(spec=specs())
-def test_build_matches_the_realizing_loop(spec):
+@given(pair=targets_and_closeness())
+def test_build_matches_the_realizing_loop(pair):
+    m_list, closeness = pair
     try:
-        want = _reference_build(spec)
+        want = _reference_build(m_list, closeness)
     except ResourceCapExceeded:
         with pytest.raises(ResourceCapExceeded):
-            build(spec)
+            build(m_list, closeness)
         return
-    got = build(spec)
+    got = build(m_list, closeness)
     assert got == want and repr(got) == repr(want)
-    assert gap(got) <= spec.closeness
+    assert gap(got) <= closeness
 
 
 def test_closed_form_refuses_a_zero_mass_that_is_not_positive():

@@ -1,12 +1,15 @@
 """Value semantics of the package's record and value types.
 
-Results and stored forms are `NamedTuple` records (only `ExtremalSpec` checks its
-fields on construction; `BoundReport` and `TransformOutcome` derive their
-summaries from their fields); `Enclosure`, `FiniteDistribution`,
-`SurvivalStep`, `CdfTable` and `Assembly` are plain classes, because tuple
-concatenation and ordering would be wrong for them.  Either way an instance
-refuses attribute assignment, compares and hashes by its fields, and keeps
-its repr.
+Results and stored forms are `NamedTuple` records that check nothing on
+construction (`BoundReport` and `TransformOutcome` derive their summaries
+from their fields); `Enclosure`, `FiniteDistribution`, `SurvivalStep`,
+`CdfTable` and `Assembly` are plain classes, because tuple concatenation and
+ordering would be wrong for them.  Either way an instance refuses attribute
+assignment, compares and hashes by its fields, and keeps its repr.
+
+The extremal builder takes its targets as plain arguments: `build` and
+`realize` convert them with `as_rational` and refuse bad ones, with the
+messages pinned at the end of this file.
 """
 
 import random
@@ -22,15 +25,16 @@ from maxmix import (
     BoundReport,
     ChainChecks,
     Enclosure,
-    ExtremalSpec,
     FiniteDistribution,
     GamGapReport,
     McEstimate,
     PreconditionError,
     SurvivalStep,
     TransformOutcome,
+    build,
     full_report,
     performance_bounds,
+    realize,
 )
 from maxmix.cli import AssemblyDocument, SweepRow
 from maxmix.dist import CdfTable
@@ -57,12 +61,11 @@ RECORDS = {
     "TransformOutcome": lambda: TransformOutcome(
         result=_dist(), m_residual=F(0), e_delta=F(1, 8)),
     "GamGapReport": lambda: GamGapReport(
-        gap=Enclosure(F(0), F(1, 3)), bound=F(1, 2), gap_mixture_form=Enclosure.exact(F(1, 6))),
+        gap=Enclosure(F(0), F(1, 3)), bound=F(1, 2)),
     "ChainChecks": _chain,
     "AssemblyDocument": lambda: AssemblyDocument(_assembly(), name="pair", bound=F(2)),
     "SweepRow": lambda: SweepRow(*(F(k, 7) for k in range(1, 8))),
     "BoundReport": lambda: full_report(_assembly()),
-    "ExtremalSpec": lambda: ExtremalSpec((F(1), F(2)), F(1, 10), (F(1, 2),)),
 }
 VALUES = {
     "Enclosure": lambda: Enclosure(F(1, 3), F(1, 2)),
@@ -131,9 +134,6 @@ def test_reprs_are_unchanged():
         "plateaus=(Fraction(1, 4), Fraction(1, 1)))")
     assert repr(_assembly().table) == \
         "CdfTable(scale=2, xs=(0, 2, 3), product=((0, 1, 4), 4), mixture=((1, 5, 8), 8))"
-    assert repr(RECORDS["ExtremalSpec"]()) == (
-        "ExtremalSpec(m_list=(Fraction(1, 1), Fraction(2, 1)), "
-        "closeness=Fraction(1, 10), p_schedule=(Fraction(1, 2),))")
 
 
 def test_reprs_of_long_values_match_the_unlimited_repr():
@@ -171,12 +171,11 @@ LONG_RECORDS = {
     "TransformOutcome": lambda: TransformOutcome(
         result=_dist(), m_residual=F(1, BIG), e_delta=F(BIG, 3), alphas=(None, F(1, BIG))),
     "GamGapReport": lambda: GamGapReport(
-        gap=Enclosure(F(0), F(BIG)), bound=F(1, BIG), gap_mixture_form=Enclosure.exact(F(1))),
+        gap=Enclosure(F(0), F(BIG)), bound=F(1, BIG)),
     "ChainChecks": lambda: ChainChecks(BIG, True, True),
     "AssemblyDocument": lambda: AssemblyDocument(_long_assembly(), name="big", bound=F(BIG)),
     "SweepRow": lambda: SweepRow(*(F(BIG, k) for k in range(1, 8))),
     "BoundReport": lambda: full_report(_long_assembly()),
-    "ExtremalSpec": lambda: ExtremalSpec((F(1), F(BIG)), F(1, BIG), (F(1, 2),)),
 }
 
 
@@ -213,41 +212,38 @@ def test_keyword_construction():
     assert SurvivalStep(breakpoints=list(step.breakpoints), plateaus=step.plateaus) == step
     t = _assembly().table
     assert CdfTable(scale=t.scale, xs=t.xs, product=t.product, mixture=t.mixture) == t
-    assert ExtremalSpec(m_list=[1, 2], closeness="1/10", p_schedule=["1/2"]) == \
-        RECORDS["ExtremalSpec"]()
 
 
 def test_extremal_spec_normalises_targets_to_fractions():
-    spec = ExtremalSpec(["1/2", 1], "1/100", ("1/3",))
-    assert spec.m_list == (F(1, 2), F(1)) and spec.closeness == F(1, 100)
-    assert spec.p_schedule == (F(1, 3),) and spec.n == 2
-    assert all(type(x) is F for x in (*spec.m_list, spec.closeness, *spec.p_schedule))
-    assert ExtremalSpec((3,), 1).p_schedule is None
+    exact = (F(1, 2), F(1))
+    assert realize(["1/2", 1], ("3/4",)) == realize(exact, (F(3, 4),))
+    assert realize(["1/2", 1], ("3/4",)).similar_means() == exact
+    assert build(["1/2", 1], "1/100") == build(exact, F(1, 100))
+    assert build((3,), 1).members == (FiniteDistribution.point_mass(3),)
 
 
 @pytest.mark.parametrize("args, message", [
-    (((), 1), "m_list must not be empty"),
-    (((0, 1), 1), "target similar means must be positive"),
-    (((2, 1), 1), "target similar means must be ascending"),
-    (((1, 1), 0), "closeness must be positive, got 0"),
-    (((1, 1), 1, ("1/2", "1/2")), "p_schedule needs 1 entries, got 2"),
-    (((1, 1), 1, (1,)), r"every scheduled zero mass must lie in \(0, 1\)"),
+    ((build, (), 1), "m_list must not be empty"),
+    ((build, (0, 1), 1), "target similar means must be positive"),
+    ((build, (2, 1), 1), "target similar means must be ascending"),
+    ((build, (1, 1), 0), "closeness must be positive, got 0"),
+    ((realize, (1, 1), ("1/2", "1/2")), "p_schedule needs 1 entries, got 2"),
+    ((realize, (1, 1), (1,)), r"every scheduled zero mass must lie in \(0, 1\)"),
+    ((realize, (), ()), "m_list must not be empty"),
+    ((realize, (0, 1), ("1/2",)), "target similar means must be positive"),
+    ((realize, (2, 1), ("1/2",)), "target similar means must be ascending"),
 ])
 def test_extremal_spec_refusals(args, message):
+    call, *arguments = args
     with pytest.raises(PreconditionError, match=f"^{message}$"):
-        ExtremalSpec(*args)
-
-
-def test_replace_keeps_the_checks():
-    spec = RECORDS["ExtremalSpec"]()
-    assert spec._replace(m_list=["1/2", 1]).m_list == (F(1, 2), F(1))
-    with pytest.raises(PreconditionError, match="closeness must be positive"):
-        spec._replace(closeness=0)
+        call(*arguments)
 
 
 def test_extremal_spec_refuses_floats():
-    with pytest.raises(TypeError, match="refusing inexact float"):
-        ExtremalSpec((0.5,), 1)
+    for call, *arguments in [(build, (0.5,), 1), (build, (1,), 0.5),
+                             (realize, (1, 0.5), ("1/2",)), (realize, (1, 1), (0.5,))]:
+        with pytest.raises(TypeError, match="refusing inexact float"):
+            call(*arguments)
 
 
 def test_record_fields():

@@ -12,7 +12,10 @@ may import it for annotations.
 
 Every ``NamedTuple`` record defines ``__repr__``: the generated one writes a
 field with ``repr``, and ``Fraction.__repr__`` raises past the interpreter's
-digit limit.
+digit limit.  No ``NamedTuple`` record, nor any class derived from one in the
+same module, defines ``__new__`` or ``_make``: a record holds what its
+producer computed, and a check or conversion of its inputs belongs to the
+function that takes them.
 
 Every Hypothesis test under ``tests`` carries a ``@seed``, so the suite draws
 the same examples on every run.
@@ -56,12 +59,12 @@ def test_numpy_is_imported_only_inside_functions(path):
     assert not lines, f"{path.name} imports numpy when it loads, at lines {lines}"
 
 
-def _defines_repr(cls: ast.ClassDef) -> bool:
+def _defines(cls: ast.ClassDef, name: str) -> bool:
     for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "__repr__":
+        if isinstance(node, ast.FunctionDef) and node.name == name:
             return True
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__repr__" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return True
     return False
 
@@ -72,8 +75,31 @@ def test_named_tuple_records_define_repr(path):
     missing = [node.name for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)
                and any(ast.unparse(base).split(".")[-1] == "NamedTuple" for base in node.bases)
-               and not _defines_repr(node)]
+               and not _defines(node, "__repr__")]
     assert not missing, f"{path.name}: NamedTuple classes without __repr__: {missing}"
+
+
+def _named_tuple_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """Classes deriving from ``NamedTuple``, directly or through a class of the module."""
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    names = {"NamedTuple"}
+    grew = True
+    while grew:
+        grew = False
+        for node in classes:
+            if node.name not in names and any(
+                    ast.unparse(base).split(".")[-1] in names for base in node.bases):
+                names.add(node.name)
+                grew = True
+    return [node for node in classes if node.name in names]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_named_tuple_records_do_not_check_on_construction(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{node.name}.{name}" for node in _named_tuple_classes(tree)
+             for name in ("__new__", "_make") if _defines(node, name)]
+    assert not found, f"{path.name}: NamedTuple classes that override construction: {found}"
 
 
 def _decorator_names(node) -> set[str]:
