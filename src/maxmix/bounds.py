@@ -17,12 +17,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dist import Assembly, _fields_repr, _shown, as_rational
+from .dist import Assembly, _check_count, _fields_repr, _shown, as_rational
 from .enclosure import DEFAULT_TOL, Enclosure, as_tolerance, nth_root
 from .errors import InvariantViolation, PreconditionError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _means(m_list) -> tuple[Fraction, ...]:
+    """The similar means as Fractions, refused unless non-empty and non-negative."""
+    ms = tuple(as_rational(m) for m in m_list)
+    if not ms:
+        raise PreconditionError("m_list must not be empty")
+    if any(m < 0 for m in ms):
+        raise PreconditionError("similar means must be non-negative")
+    return ms
 
 
 def performance_bounds(m_list) -> tuple[Fraction, Fraction]:
@@ -31,11 +41,7 @@ def performance_bounds(m_list) -> tuple[Fraction, Fraction]:
     Returns ``(mean(M), mean(M) + (n-1)/n * max(M))`` with n the length of
     ``m_list``.  Pure formula; no distributions are needed.
     """
-    ms = tuple(as_rational(m) for m in m_list)
-    if not ms:
-        raise PreconditionError("m_list must not be empty")
-    if any(m < 0 for m in ms):
-        raise PreconditionError("similar means must be non-negative")
+    ms = _means(m_list)
     n = len(ms)
     m_bar = sum(ms, _ZERO) / n
     return m_bar, m_bar + Fraction(n - 1, n) * max(ms)
@@ -48,9 +54,9 @@ def grouped_bounds(m_list, k: int) -> tuple[Fraction, Fraction]:
     caller is responsible for the groups actually being identical; only the
     list of similar means and k, which must divide its length, enter it.
     """
-    ms = tuple(as_rational(x) for x in m_list)
-    if k < 1 or len(ms) % k:
-        raise PreconditionError(f"{k} equal groups do not split {len(ms)} members")
+    ms = _means(m_list)
+    if len(ms) % _check_count(k, "group count k"):
+        raise PreconditionError(f"{_shown(k)} equal groups do not split {len(ms)} members")
     m_bar, _ = performance_bounds(ms)
     return m_bar, m_bar + Fraction(k - 1, k) * max(ms)
 
@@ -89,13 +95,9 @@ def holder_lower(m_list, b, *, tol=DEFAULT_TOL) -> Enclosure:
     being a function of M_1..M_n only.  The single n-th root is bracketed on
     exact rationals to width <= tol.
     """
-    ms = tuple(as_rational(m) for m in m_list)
-    if not ms:
-        raise PreconditionError("m_list must not be empty")
+    ms = _means(m_list)
     b = as_rational(b)
     for m in ms:
-        if m < 0:
-            raise PreconditionError("similar means must be non-negative")
         if m > b:
             raise PreconditionError(
                 f"{_shown(b)} is not a common upper bound: similar mean {_shown(m)} "

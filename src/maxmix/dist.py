@@ -10,7 +10,8 @@ Core types:
 
 * `FiniteDistribution`: an immutable distribution stored as its
   `IntegerForm`, the atoms as integers over one value scale and one mass
-  denominator, which is where they are validated.  The form is canonical
+  denominator, built only by `from_pairs`, `from_ratios` and `point_mass`,
+  all through `IntegerForm.of`, which validates them.  The form is canonical
   (strictly increasing non-negative values, positive masses, total mass
   exactly 1), which makes equality of distributions decidable, as the
   equality diagnostics need.  The ``(value, mass)`` atoms as `Fraction`
@@ -252,10 +253,12 @@ def jump_weights(cum: Iterable[int], n: int) -> Iterator[int]:
         prev = p
 
 
-def _check_copy_count(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PreconditionError(f"copy count must be an integer >= 1, got {_shown(n)}")
-    return n
+def _check_count(x, what: str = "copy count", least: int = 1) -> int:
+    """Refuse anything but an ``int`` of at least ``least``; a ``bool`` is refused."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        got = repr(x) if isinstance(x, bool) else _shown(x)  # _shown(True) reads "1"
+        raise PreconditionError(f"{what} must be an integer >= {least}, got {got}")
+    return x
 
 
 def _long_repr(x) -> str:
@@ -393,26 +396,13 @@ class FiniteDistribution(Frozen):
     unique per distribution, so equality and hashing go by it.  ``atoms``
     is the canonical view built from it on first access: strictly
     increasing values, every mass positive, masses summing to exactly 1.
-    Mass at value 0 is legal and common.  Use `from_pairs` to build from
-    unsorted or unmerged data.
+    Mass at value 0 is legal and common.  There is no public constructor:
+    `from_pairs`, `from_ratios` and `point_mass` build one, each through
+    `IntegerForm.of`, which merges, sorts and validates.
     """
 
     form: IntegerForm
     _fields = ("form",)
-
-    def __init__(self, atoms: Iterable):
-        atoms = tuple((as_rational(v), as_rational(m)) for v, m in atoms)
-        for v, m in atoms:
-            if m <= 0:
-                raise PreconditionError(
-                    f"atom mass {_shown(m)} at value {_shown(v)} is not positive")
-        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
-            raise PreconditionError(
-                "atom values must be strictly increasing in canonical form; "
-                "use FiniteDistribution.from_pairs to merge and sort"
-            )
-        object.__setattr__(self, "form", IntegerForm.of(*_columns(atoms)))
-        object.__setattr__(self, "atoms", atoms)  # fills the cached view
 
     @classmethod
     def _of_form(cls, form: IntegerForm) -> "FiniteDistribution":
@@ -444,7 +434,8 @@ class FiniteDistribution(Frozen):
 
     @classmethod
     def point_mass(cls, value) -> "FiniteDistribution":
-        return cls(((as_rational(value), _ONE),))
+        x = as_rational(value)
+        return cls.from_ratios((x.numerator,), (x.denominator,), (1,), (1,))
 
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -493,7 +484,7 @@ class FiniteDistribution(Frozen):
         ``form.den**n`` cancels in every ratio the transforms take, so the
         weights stay integers.
         """
-        return jump_weights(accumulate(self.form.masses), _check_copy_count(n))
+        return jump_weights(accumulate(self.form.masses), _check_count(n))
 
     def similar_max_mean(self, n: int) -> Fraction:
         """Expected maximum of n independent copies, exactly.
@@ -658,7 +649,7 @@ class Assembly(Frozen):
 
     @classmethod
     def of_copies(cls, d: FiniteDistribution, n: int) -> "Assembly":
-        return cls((d,) * _check_copy_count(n))
+        return cls((d,) * _check_count(n))
 
     @property
     def n(self) -> int:
@@ -720,8 +711,7 @@ def discretize(cdf: CdfEvaluator, m: int) -> FiniteDistribution:
     The evaluator must expose left limits (side "left"); grids routinely
     land exactly on atoms of discrete inputs.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise PreconditionError(f"grid level m must be an integer >= 1, got {_shown(m)}")
+    _check_count(m, "grid level m")
     if m >= DEFAULT_ATOM_CAP.bit_length():  # 2**m alone exceeds the cap
         raise ResourceCapExceeded(
             f"grid level m = {_shown(m)} needs m * 2**m + 1 atoms, "

@@ -3,9 +3,9 @@
 Everything else in this package is exact rational arithmetic.  The single
 irrational primitive is the n-th root (geometric means of CDFs, the bounded
 lower bound, the down-projection masses).  Roots are returned as `Enclosure`
-intervals whose endpoints are exact rationals bracketing the true value, so
-every downstream inequality check can carry an explicit error radius instead
-of a silent float error.
+intervals whose endpoints are exact rationals bracketing the true value.
+Callers read the endpoints, not interval operators, and decide every
+inequality from the endpoint that could break it, never from a midpoint.
 
 Each root costs one integer root: x is scaled by 2**(k*n), with k the
 smallest non-negative integer such that 2**-k <= tol, and the floor root r
@@ -23,7 +23,8 @@ from functools import lru_cache
 from itertools import count, islice
 from math import isqrt
 
-from .dist import DEFAULT_BIT_CAP, Frozen, _shown, as_rational, check_cap, fraction_str
+from .dist import (DEFAULT_BIT_CAP, Frozen, _check_count, _shown, as_rational, check_cap,
+                   fraction_str)
 from .errors import PreconditionError
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -40,8 +41,9 @@ def as_tolerance(tol) -> Fraction:
 class Enclosure(Frozen):
     """A closed rational interval [lo, hi] certified to contain a real value.
 
-    Not a tuple: ``+`` and ``-`` are interval arithmetic, and intervals have
-    no total order.
+    It has no arithmetic and no order: a caller that computes with it writes
+    the endpoint it needs (the lower end of ``b - root`` is ``b - root.hi``),
+    and decides a comparison from the endpoint that could break it.
     """
 
     lo: Fraction
@@ -76,31 +78,6 @@ class Enclosure(Frozen):
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __add__(self, other):
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        return Enclosure(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Enclosure(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scaled(self, f: Fraction) -> "Enclosure":
-        """Multiply by an exact rational (sign-aware)."""
-        if f >= 0:
-            return Enclosure(self.lo * f, self.hi * f)
-        return Enclosure(self.hi * f, self.lo * f)
-
     def __repr__(self):
         ends = (self.lo,) if self.is_exact else (self.lo, self.hi)
         return f"Enclosure({', '.join(map(fraction_str, ends))})"
@@ -113,8 +90,7 @@ def int_nth_root(x: int, n: int) -> tuple[int, bool]:
     """
     if x < 0:
         raise PreconditionError("int_nth_root requires a non-negative integer")
-    if n < 1:
-        raise PreconditionError("root order must be >= 1")
+    _check_count(n, "root order")
     if n == 1 or x in (0, 1):
         return x, True
     r = 1 << ((x.bit_length() + n - 1) // n)
@@ -153,8 +129,7 @@ def nth_root(x: Fraction, n: int, tol=DEFAULT_TOL) -> Enclosure:
     """
     if x < 0:
         raise PreconditionError(f"cannot take an n-th root of a negative value: {_shown(x)}")
-    if n < 1:
-        raise PreconditionError("root order must be >= 1")
+    _check_count(n, "root order")
     if n == 1:
         return Enclosure.exact(x)
     tol = as_tolerance(tol)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bounds import performance_bounds
-from .dist import (DEFAULT_BIT_CAP, Assembly, FiniteDistribution, _shown, as_rational,
-                   check_cap)
+from .dist import (DEFAULT_BIT_CAP, Assembly, FiniteDistribution, _check_count, _shown,
+                   as_rational, check_cap)
 from .errors import InvariantViolation, PreconditionError, ResourceCapExceeded
 
 _ZERO = Fraction(0)
@@ -31,9 +31,7 @@ _STAGGER = Fraction(1, 1000)
 
 def theta_sup(n: int) -> Fraction:
     """Supremum of the mixing factor over equal-target assemblies: 2 - 1/n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise PreconditionError(f"assembly size must be an integer >= 1, got {_shown(n)}")
-    return 2 - Fraction(1, n)
+    return 2 - Fraction(1, _check_count(n, "assembly size"))
 
 
 def gap(a: Assembly) -> Fraction:
@@ -57,10 +55,12 @@ def _values(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> list[Frac
     """The non-zero values x_k = M_k / (1 - p_k^n), refused unless they rise
     strictly from above the constant member at the top target.
 
-    Refuses first when n**2 times the bits of the longest zero-mass
-    denominator, an estimate of the exact E[X_max]'s denominator, exceeds
-    `DEFAULT_BIT_CAP`.
+    Refuses first a zero mass outside (0, 1), then n**2 times the bits of
+    the longest zero-mass denominator, an estimate of the exact E[X_max]'s
+    denominator, when it exceeds `DEFAULT_BIT_CAP`.
     """
+    if any(not 0 < p < 1 for p in ps):
+        raise PreconditionError("every scheduled zero mass must lie in (0, 1)")
     n = len(m_list)
     check_cap(n * n * max((p.denominator.bit_length() for p in ps), default=0),
               "estimated bits of the exact expectation", DEFAULT_BIT_CAP)
@@ -102,8 +102,6 @@ def realize(m_list, p_schedule) -> Assembly:
     ps = tuple(as_rational(p) for p in p_schedule)
     if len(ps) != len(m_list) - 1:
         raise PreconditionError(f"p_schedule needs {len(m_list) - 1} entries, got {len(ps)}")
-    if any(not 0 < p < 1 for p in ps):
-        raise PreconditionError("every scheduled zero mass must lie in (0, 1)")
     xs = _values(m_list, ps)
     members = [FiniteDistribution.from_pairs([(_ZERO, p_k), (x_k, 1 - p_k)])
                for x_k, p_k in zip(xs, ps)]
@@ -122,10 +120,8 @@ def _family_gap(m_list: tuple[Fraction, ...], ps: tuple[Fraction, ...]) -> Fract
     x_j and every later member draws 0, and m_top when all of them draw 0:
     E[X_max] = sum_j x_j (1 - p_j) prod_{i>j} p_i + m_top prod_i p_i, summed
     here from the bottom as e <- e p_j + x_j (1 - p_j).  Refuses what
-    `_values` refuses, and zero masses that are not positive.
+    `_values` refuses.
     """
-    if ps and ps[0] <= 0:  # the staggered masses rise, so ps[0] is the least
-        raise PreconditionError(f"zero mass {_shown(ps[0])} is not positive")
     e = m_list[-1]
     for x_k, p_k in zip(_values(m_list, ps), ps):
         e = e * p_k + x_k * (1 - p_k)

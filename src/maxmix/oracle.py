@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dist import Assembly, IntegerForm, _fields_repr, _shown, check_cap
+from .dist import Assembly, IntegerForm, _check_count, _fields_repr, _shown, check_cap
 from .errors import PreconditionError
 
 if TYPE_CHECKING:
@@ -148,13 +148,12 @@ def _atom_index(thresholds: np.ndarray, buckets: tuple[int, np.ndarray],
 def check_mc_request(a: Assembly, samples: int, seed: int) -> int:
     """Refuse a Monte Carlo request that `mc_expected_max` would refuse; return the seed.
 
-    An integer ``samples >= 2``, a seed in [0, 2**64), and at most
+    An integer ``samples >= 2``, an ``int`` seed in [0, 2**64) (any other is
+    refused, not converted onto another seed's stream), and at most
     `DEFAULT_OUTCOME_CAP` draws (samples times members).
     """
-    if not isinstance(samples, int) or samples < 2:
-        raise PreconditionError(f"need an integer samples >= 2, got {_shown(samples)}")
-    seed = int(seed)
-    if not 0 <= seed <= _MASK:
+    _check_count(samples, "samples", 2)
+    if _check_count(seed, "seed", 0) > _MASK:
         raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
     check_cap(samples * a.n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
     return seed

@@ -27,7 +27,7 @@ from typing import Literal, NamedTuple
 from .dist import (
     Assembly,
     FiniteDistribution,
-    _check_copy_count,
+    _check_count,
     _fields_repr,
     _shown,
     as_rational,
@@ -98,7 +98,7 @@ def coalesce(d: FiniteDistribution, a, b, companion: FiniteDistribution,
     b = as_rational(b)
     if not 0 <= a <= b:
         raise PreconditionError(f"need 0 <= a <= b, got [{_shown(a)}, {_shown(b)}]")
-    n = _check_copy_count(n)
+    n = _check_count(n)
     inside_mass = companion.cdf(b, "left") - companion.cdf(a)
     if inside_mass > 0:
         raise PreconditionError(
@@ -158,7 +158,7 @@ def reduce_pair(d: FiniteDistribution, l, r, companion: FiniteDistribution,
     r = as_rational(r)
     if not 0 <= l < r:
         raise PreconditionError(f"need 0 <= l < r, got ({_shown(l)}, {_shown(r)})")
-    n = _check_copy_count(n)
+    n = _check_count(n)
     inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n))
               if l < v < r]
     if len(inside) != 2:
@@ -223,7 +223,7 @@ def phi(u, v, p, n: int) -> Fraction:
         raise PreconditionError(f"p must lie in [0, 1], got {_shown(p)}")
     if v > u:
         raise PreconditionError(f"payoff curve needs v <= u, got v={_shown(v)} > u={_shown(u)}")
-    n = _check_copy_count(n)
+    n = _check_count(n)
     if p == 1:
         return u + v / n
     return u * p + v * (1 - p) / (1 - p**n)
@@ -239,7 +239,9 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
         t_i = 1 - sum_{lo<v<=hi} (v - lo) * w_v / ((hi - lo) * sum_{v<=hi} w_v),
 
     where w_v = F_i(v)**n - F_i(v-)**n is the n-copy weight of the atom at v.
-    t_i**(1/n) is irrational in general; the enclosure midpoint is used and
+    t_i**(1/n) is irrational in general.  The root's two endpoints give two
+    masses at lo, and a member is refused only when both lie on one side of
+    [0, p_i]; otherwise the midpoint share is used, clamped to [0, 1], and
     the exact per-member mean residual is reported rather than hidden.  The
     assembly expected max never increases beyond the same rounding slack.
     Members without mass in the interval pass through untouched (their
@@ -274,15 +276,14 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
         inside_weight = sum(((v - lo) * w for v, w in below if v > lo), _ZERO)
         t = 1 - inside_weight / (span * sum(w for _, w in below))
         root = nth_root(t, n, root_tol)
-        alpha_enc = root.scaled(f_hi) - f_lo_left
-        alpha = alpha_enc.midpoint / p_int
-        slack = alpha_enc.radius / p_int
-        if alpha < -slack or alpha > 1 + slack:
+        lo_mass = root.lo * f_hi - f_lo_left
+        hi_mass = root.hi * f_hi - f_lo_left
+        if hi_mass < 0 or lo_mass > p_int:
             raise InvariantViolation(
-                f"endpoint share {_shown(alpha)} escaped [0, 1] beyond radius "
-                f"{_shown(slack)}"
+                f"endpoint mass [{_shown(lo_mass)}, {_shown(hi_mass)}] misses "
+                f"[0, {_shown(p_int)}]"
             )
-        alpha = min(max(alpha, _ZERO), _ONE)
+        alpha = min(max((lo_mass + hi_mass) / (2 * p_int), _ZERO), _ONE)
 
         outside = [(v, m) for v, m in d.atoms if v < lo or v > hi]
         member = FiniteDistribution.from_pairs(

@@ -66,6 +66,9 @@ class TestGroupedBounds:
             grouped_bounds([F(1)] * 4, 3)
         with pytest.raises(PreconditionError):
             grouped_bounds([F(1)] * 4, 0)
+        for k in (True, 2.0):
+            with pytest.raises(PreconditionError, match="group count k"):
+                grouped_bounds([F(1), F(2)], k)
 
 
 class TestMixtureLower:

@@ -212,5 +212,8 @@ def test_build_matches_the_realizing_loop(pair):
 def test_closed_form_refuses_a_zero_mass_that_is_not_positive():
     # past about a thousand members the first staggered masses fall below 0
     assert _staggered(F(1, 2), 1003)[0] < 0
-    with pytest.raises(PreconditionError, match="not positive"):
+    with pytest.raises(PreconditionError, match=r"must lie in \(0, 1\)"):
         _family_gap((F(1),) * 3, (F(-1, 2), F(1, 2)))
+    # nor a zero mass of 1, where x = M / (1 - p**n) would divide by zero
+    with pytest.raises(PreconditionError, match=r"must lie in \(0, 1\)"):
+        _family_gap((F(1), F(1)), (F(1),))

@@ -120,8 +120,9 @@ class TestMonteCarlo:
     def test_seed_must_fit_in_64_bits(self):
         d = dist((0, F(1, 2)), (1, F(1, 2)))
         a = Assembly((d, d))
-        for seed in (-1, 1 << 64):
-            with pytest.raises(PreconditionError):
+        # a seed that is not an int is refused, not converted onto another's stream
+        for seed in (-1, 1 << 64, 1.9, True, "7"):
+            with pytest.raises(PreconditionError, match="seed"):
                 mc_expected_max(a, 100, seed=seed)
         assert mc_expected_max(a, 100, seed=(1 << 64) - 1).seed == (1 << 64) - 1
 

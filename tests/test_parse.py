@@ -83,7 +83,7 @@ class TestCanonicalMembers:
     def test_integer_form_is_reduced(self):
         d = member("2/4:2/6 6/4:4/6")
         assert d.form == (2, (1, 3), 3, (1, 2))
-        assert FiniteDistribution(d.atoms).form == d.form
+        assert FiniteDistribution.from_pairs(d.atoms).form == d.form
 
     def test_parsed_member_equals_from_pairs(self):
         d = member("0:1/4 1:3/4")

@@ -17,6 +17,11 @@ same module, defines ``__new__`` or ``_make``: a record holds what its
 producer computed, and a check or conversion of its inputs belongs to the
 function that takes them.
 
+A ``bool`` is an ``int`` to Python, and refusing one is written twice only:
+``isinstance(..., bool)`` appears in ``as_rational``, for values, and in
+``_check_count``, for counts, orders and seeds; every other integer argument
+goes through ``_check_count``.
+
 Every Hypothesis test under ``tests`` carries a ``@seed``, so the suite draws
 the same examples on every run.
 """
@@ -100,6 +105,31 @@ def test_named_tuple_records_do_not_check_on_construction(path):
     found = [f"{node.name}.{name}" for node in _named_tuple_classes(tree)
              for name in ("__new__", "_make") if _defines(node, name)]
     assert not found, f"{path.name}: NamedTuple classes that override construction: {found}"
+
+
+#: the functions that may test for a ``bool``
+BOOL_CHECKERS = {"as_rational", "_check_count"}
+
+
+def _bool_tests(node, owner=None):
+    """``(function, line)`` of each ``isinstance(..., bool)`` below node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+            yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _bool_tests(child, owner)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_bool_is_refused_in_one_place_per_kind(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{owner} (line {line})" for owner, line in _bool_tests(tree)
+             if owner not in BOOL_CHECKERS]
+    assert not found, f"{path.name}: isinstance(..., bool) outside {sorted(BOOL_CHECKERS)}: {found}"
 
 
 def _decorator_names(node) -> set[str]:

@@ -122,7 +122,7 @@ def test_integer_forms_match_the_atoms(a):
         assert f.den == math.lcm(*(m.denominator for m in d.masses))
         assert d.atoms == tuple((F(x, f.scale), F(m, f.den))
                                 for x, m in zip(f.values, f.masses))
-        assert FiniteDistribution(d.atoms).form == f
+        assert FiniteDistribution.from_pairs(d.atoms).form == f
         unreduced = [(3 * x, 3 * f.scale, 2 * m, 2 * f.den)
                      for x, m in zip(f.values, f.masses)]
         assert FiniteDistribution.from_ratios(*zip(*reversed(unreduced))).form == f
@@ -211,10 +211,11 @@ _LAZY = ("atoms", "values", "masses")
 
 
 def _builds(d):
-    """The same distribution built the three public ways, atoms not yet read."""
+    """The same distribution built from ordered pairs, reversed pairs and
+    integer columns, atoms not yet read."""
     f = d.form
     return (
-        FiniteDistribution(d.atoms),
+        FiniteDistribution.from_pairs(d.atoms),
         FiniteDistribution.from_pairs(reversed(d.atoms)),
         FiniteDistribution.from_ratios(f.values, [f.scale] * len(f.values),
                                        f.masses, [f.den] * len(f.masses)),
@@ -225,14 +226,14 @@ def _builds(d):
 @settings(max_examples=100, deadline=None)
 @given(distributions())
 def test_builds_compare_and_hash_equal_before_and_after_atoms(d):
-    direct, paired, ratios = _builds(d)
-    assert not any(name in paired.__dict__ or name in ratios.__dict__ for name in _LAZY)
+    ordered, paired, ratios = _builds(d)
+    assert not any(name in b.__dict__ for b in (ordered, paired, ratios) for name in _LAZY)
     for other in (paired, ratios):
-        assert other == direct and hash(other) == hash(direct)
-    assert paired.atoms == ratios.atoms == direct.atoms == d.atoms
+        assert other == ordered and hash(other) == hash(ordered)
+    assert paired.atoms == ratios.atoms == ordered.atoms == d.atoms
     for other in (paired, ratios):
-        assert other == direct and hash(other) == hash(direct)
-        assert repr(other) == repr(direct)
+        assert other == ordered and hash(other) == hash(ordered)
+        assert repr(other) == repr(ordered)
 
 
 def test_repr_is_unchanged():

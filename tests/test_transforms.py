@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from maxmix import (
     Assembly,
+    Enclosure,
     FiniteDistribution,
+    InvariantViolation,
     PreconditionError,
     coalesce,
     down_project,
     holder_lower,
+    nth_root,
     phi,
     reduce_pair,
     transforms,
@@ -233,6 +236,30 @@ class TestDownProject:
             assert out.e_delta <= tol
             for m in out.result.members:
                 assert not any(lo < v < hi for v in m.values)
+            assert out.alphas == tuple(reference_alpha(d, lo, hi, a.n, tol) for d in a.members)
+
+    # on [0, 1] both members have F(0-) = 0 and F(1) = p = 1, so the two
+    # endpoint masses at 0 are the two ends of the root enclosure
+    PAIR = (dist((0, F(1, 2)), (1, F(1, 2))), dist((0, F(1, 4)), (1, F(3, 4))))
+
+    @pytest.mark.parametrize("lo, hi", [(F(-2), F(-1)), (F(3, 2), F(2))],
+                             ids=["below", "above"])
+    def test_an_endpoint_mass_range_outside_is_refused(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(transforms, "nth_root", lambda *args: Enclosure(lo, hi))
+        with pytest.raises(InvariantViolation, match="misses"):
+            down_project(Assembly(self.PAIR), 0, 1)
+
+    @pytest.mark.parametrize("lo, hi, alpha", [
+        (F(-1), F(1, 2), F(0)),
+        (F(1, 2), F(3), F(1)),
+        (F(-1), F(2), F(1, 2)),
+    ], ids=["low-end-out", "high-end-out", "straddles"])
+    def test_an_endpoint_mass_range_that_meets_the_mass_is_clamped(self, monkeypatch,
+                                                                   lo, hi, alpha):
+        monkeypatch.setattr(transforms, "nth_root", lambda *args: Enclosure(lo, hi))
+        # a wide tolerance lets the clamped shares past the drift check
+        out = down_project(Assembly(self.PAIR), 0, 1, tol=F(10))
+        assert out.alphas == (alpha, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +300,17 @@ def reference_t(d, lo, hi, n):
     clipped = FiniteDistribution.from_pairs((max(v - lo, F(0)), m) for v, m in d.atoms)
     inside = sum((w * weight(clipped, w, n) for w in clipped.values if 0 < w <= span), F(0))
     return 1 - inside / (span * d.cdf(hi) ** n)
+
+
+def reference_alpha(d, lo, hi, n, tol):
+    """The share at lo as the midpoint formula writes it: the root's midpoint
+    times F(hi), less F(lo-), over the interval mass, clamped to [0, 1]."""
+    f_hi, f_lo_left = d.cdf(hi), d.cdf(lo, "left")
+    p = f_hi - f_lo_left
+    if p == 0:
+        return None
+    root = nth_root(reference_t(d, lo, hi, n), n, tol / (4 * n * n * max(hi - lo, F(1))))
+    return min(max((root.midpoint * f_hi - f_lo_left) / p, F(0)), F(1))
 
 
 class TestCopyWeights:
