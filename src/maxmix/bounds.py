@@ -158,8 +158,7 @@ def gam_gap(a: Assembly, tol=DEFAULT_TOL) -> GamGapReport:
             f"integral and mixture forms of the gap disagree by {_shown(e_mix - e_u)}"
         )
     gap = Enclosure(ev_lo - e_mix, ev_hi - e_mix)
-    m_bar, upper = performance_bounds(a.similar_means())
-    bound = upper - m_bar
+    bound = Fraction(n - 1, n) * max(a.similar_means())
 
     if gap.hi < 0:
         raise InvariantViolation(

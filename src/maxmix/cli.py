@@ -276,6 +276,8 @@ def cmd_verify(args) -> int:
 def cmd_extremal(args) -> int:
     if (args.equal is None) == (args.m_list is None):
         raise _UsageError("give exactly one of --equal or --m-list")
+    if (args.epsilon is None) == (args.p_schedule is None):
+        raise _UsageError("give exactly one of --epsilon or --p-schedule")
     check_cap(args.n, "--n")
     if args.equal is not None:
         m_list = (args.equal,) * args.n
@@ -291,6 +293,8 @@ def cmd_extremal(args) -> int:
         a = extremal.build(m_list, args.epsilon)
 
     report = bounds.full_report(a)
+    if not report.chain.all_ok:
+        raise InvariantViolation("extremal assembly violates the chain")
     _show("theta", report.theta)
     _show("theta_sup", extremal.theta_sup(a.n))
     _show("gap", report.upper - report.exact_e)
@@ -380,34 +384,32 @@ def cmd_sweep(args) -> int:
         raise _UsageError("give exactly one of --template or --extremal-n")
     points = _sweep_points(args)
 
-    build_for: dict[Fraction, Assembly] = {}
-    skipped: list[tuple[Fraction, str]] = []
     if args.template is not None:
         text = _read_text(args.template)
         if "$p" not in text and "$q" not in text:
             raise PreconditionError(
                 "template declares no swept parameter ($p or $q)"
             )
-        for param in points:
+        def build(param: Fraction) -> Assembly:
             body = text.replace("$p", fraction_str(param))
             body = body.replace("$q", fraction_str(1 - param))
-            try:
-                build_for[param] = parse_assembly_text(body).assembly
-            except (AssemblyParseError, PreconditionError) as exc:
-                skipped.append((param, str(exc)))
+            return parse_assembly_text(body).assembly
     else:
         if args.equal is None:
             raise _UsageError("extremal sweeps need --equal")
         n = args.extremal_n
         check_cap(n, "--extremal-n")
         m_list = (args.equal,) * n
-        for delta in points:
-            try:
-                build_for[delta] = extremal.realize(m_list, extremal._staggered(delta, n))
-            except PreconditionError as exc:
-                skipped.append((delta, str(exc)))
+        def build(delta: Fraction) -> Assembly:
+            return extremal.realize(m_list, extremal._staggered(delta, n))
 
-    rows = [_row_for(param, a) for param, a in build_for.items()]
+    rows: list[SweepRow] = []
+    skipped: list[tuple[Fraction, str]] = []
+    for param in dict.fromkeys(points):
+        try:
+            rows.append(_row_for(param, build(param)))
+        except (AssemblyParseError, PreconditionError, ResourceCapExceeded) as exc:
+            skipped.append((param, str(exc)))
     rows.sort(key=lambda r: r.parameter)
     for param, reason in skipped:
         print(f"warning: skipping {_shown(param)}: {reason}", file=sys.stderr)
@@ -509,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one shared target similar mean")
     p.add_argument("--m-list", type=_rational_list, default=None,
                    help="comma-separated ascending target similar means")
-    p.add_argument("--epsilon", type=_positive_rational, required=True)
+    p.add_argument("--epsilon", type=_positive_rational, default=None)
     p.add_argument("--p-schedule", type=_rational_list, default=None,
                    help="explicit comma-separated zero masses in (0,1)")
     p.add_argument("--out", default=None)

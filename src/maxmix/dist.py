@@ -220,6 +220,8 @@ def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
             x = Fraction(tok)
         except (ValueError, ZeroDivisionError) as exc:
             detail = str(exc).replace(tok, clip(tok))
+            if "int_max_str_digits" in detail:  # the interpreter's digit-limit text
+                detail = f"more than {sys.get_int_max_str_digits()} digits"
             raise ValueError(f"bad rational {clip(tok)!r}: {detail}") from None
         nums.append(x.numerator)
         dens.append(x.denominator)

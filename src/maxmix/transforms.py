@@ -236,9 +236,10 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
     at hi, with alpha_i chosen so the member's n-copy mean is unchanged:
 
         alpha_i = (F_i(hi) * t_i**(1/n) - F_i(lo-)) / p_i,
-        t_i = 1 - sum_{lo<v<=hi} (v - lo) * w_v / ((hi - lo) * sum_{v<=hi} w_v),
+        t_i = 1 - sum_{lo<v<=hi} (v - lo) * w_v / ((hi - lo) * F_i(hi)**n),
 
-    where w_v = F_i(v)**n - F_i(v-)**n is the n-copy weight of the atom at v.
+    where w_v = F_i(v)**n - F_i(v-)**n is the n-copy weight of the atom at v
+    (the weights at or below hi telescope to F_i(hi)**n).
     t_i**(1/n) is irrational in general.  The root's two endpoints give two
     masses at lo, and a member is refused only when both lie on one side of
     [0, p_i]; otherwise the midpoint share is used, clamped to [0, 1], and
@@ -259,22 +260,18 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
 
     span = hi - lo
     root_tol = tol / (4 * n * n * max(span, _ONE))
-    new_members = []
-    residuals = []
-    alphas: list[Fraction | None] = []
-    for d in a.members:
-        f_hi = d.cdf(hi)
-        f_lo_left = d.cdf(lo, "left")
-        p_int = f_hi - f_lo_left
-        if p_int == 0:
-            new_members.append(d)
-            residuals.append(_ZERO)
-            alphas.append(None)
+    kept: list[tuple[FiniteDistribution, Fraction, Fraction | None]] = []
+    for i, d in enumerate(a.members):
+        inside = [(v, m, w) for (v, m), w in zip(d.atoms, d.copy_weights(n)) if lo <= v <= hi]
+        if not inside:
+            kept.append((d, _ZERO, None))
             continue
 
-        below = [(v, w) for v, w in zip(d.values, d.copy_weights(n)) if v <= hi]
-        inside_weight = sum(((v - lo) * w for v, w in below if v > lo), _ZERO)
-        t = 1 - inside_weight / (span * sum(w for _, w in below))
+        p_int = sum((m for _, m, _ in inside), _ZERO)
+        f_hi = d.cdf(hi)
+        f_lo_left = f_hi - p_int
+        inside_weight = sum((v - lo) * w for v, _, w in inside)
+        t = 1 - inside_weight / (span * (f_hi * d.form.den) ** n)
         root = nth_root(t, n, root_tol)
         lo_mass = root.lo * f_hi - f_lo_left
         hi_mass = root.hi * f_hi - f_lo_left
@@ -289,22 +286,20 @@ def down_project(a: Assembly, lo, hi, tol=DEFAULT_TOL) -> TransformOutcome:
         member = FiniteDistribution.from_pairs(
             outside + [(lo, p_int * alpha), (hi, p_int * (1 - alpha))]
         )
-        new_members.append(member)
-        residuals.append(member.similar_max_mean(n) - d.similar_max_mean(n))
-        alphas.append(alpha)
-
-    result = Assembly(tuple(new_members))
-    for i, (res, member) in enumerate(zip(residuals, result.members)):
+        res = member.similar_max_mean(n) - d.similar_max_mean(n)
         if abs(res) > tol:
             raise InvariantViolation(
                 f"member {i} similar mean drifted by {_shown(res)}, beyond {_shown(tol)}"
             )
         if any(lo < v < hi for v in member.values):
             raise InvariantViolation(f"member {i} kept mass strictly inside")
+        kept.append((member, res, alpha))
 
+    new_members, residuals, alphas = zip(*kept)
+    result = Assembly(new_members)
     e_delta = result.expected_max() - a.expected_max()
     if e_delta > tol:
         raise InvariantViolation(
             f"down projection increased the expected max by {_shown(e_delta)}"
         )
-    return TransformOutcome(result, tuple(residuals), e_delta, tuple(alphas))
+    return TransformOutcome(result, residuals, e_delta, alphas)

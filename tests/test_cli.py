@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from datetime import timedelta
 from fractions import Fraction as F
 from pathlib import Path
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from maxmix import FiniteDistribution, as_rational, extremal, full_report
+from maxmix import FiniteDistribution, as_rational, bounds, cli, extremal, full_report
 from maxmix.cli import (
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
@@ -302,11 +304,13 @@ class TestLongAndHugeValues:
 
     def test_long_bad_token_is_clipped_in_the_message(self, tmp_path, capsys):
         path = tmp_path / "long.txt"
-        path.write_text(f"member: 0:1/2 {'7' * 5000}.5:1/2\n")
-        assert main(["verify", str(path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "bad rational '7777777777" in err and "(5002 chars)" in err
-        assert len(err) < 300
+        for token in ("7" * 5000 + ".5", "-" + "7" * 5000):
+            path.write_text(f"member: 0:1/2 {token}:1/2\n")
+            assert main(["verify", str(path)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"bad rational '{token[:10]}" in err and f"({len(token)} chars)" in err
+            assert len(err) < 300
+            assert all(len(line) <= 200 for line in err.splitlines()), err
 
     def test_seed_outside_64_bits_is_a_precondition_error(self, example_file, capsys):
         for seed in ("-1", str(2**64)):
@@ -332,6 +336,28 @@ class TestExtremal:
 
     def test_requires_a_target(self, capsys):
         assert main(["extremal", "--n", "2", "--epsilon", "1/10"]) == EXIT_USAGE
+
+    def test_a_schedule_needs_no_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "ext.txt"
+        assert main(["extremal", "--n", "3", "--equal", "1", "--p-schedule", "1/2,3/4",
+                     "--out", str(out)]) == EXIT_OK
+        assert parse_assembly_text(out.read_text()).assembly.similar_means() == (F(1),) * 3
+
+    @pytest.mark.parametrize("closeness", [[], ["--epsilon", "123456", "--p-schedule", "1/2,3/4"]])
+    def test_takes_exactly_one_of_epsilon_or_schedule(self, closeness):
+        code, err = _run_quietly(["extremal", "--n", "3", "--equal", "1", *closeness])
+        assert code == EXIT_USAGE
+        assert err == "error: give exactly one of --epsilon or --p-schedule\n"
+
+    def test_a_chain_breach_exits_3_and_writes_nothing(self, tmp_path, monkeypatch):
+        lower = bounds.mixture_lower
+        monkeypatch.setattr(bounds, "mixture_lower", lambda a: lower(a) + 10**6)
+        out = tmp_path / "ext.txt"
+        code, err = _run_quietly(["extremal", "--n", "2", "--equal", "1",
+                                  "--epsilon", "1/10", "--out", str(out)])
+        assert code == EXIT_INVARIANT
+        assert "violates the chain" in err
+        assert not out.exists()
 
 
 class TestTransform:
@@ -398,11 +424,52 @@ class TestSweep:
         tmpl = tmp_path / "tmpl.txt"
         tmpl.write_text("n: 2\nmember: 0:$p 1:$q\nmember: 0:1/2 1:1/2\n")
         out = tmp_path / "rows.csv"
-        code = main(["sweep", "--template", str(tmpl),
-                     "--points", "1/2,3/2", "--out", str(out)])
-        assert code == EXIT_PRECONDITION
-        assert "skipping 3/2" in capsys.readouterr().err
-        assert len(out.read_text().splitlines()) == 2  # header + one row
+        for source, points, skipped in [
+            (["--template", str(tmpl)], "1/2,3/2", "3/2"),
+            # a duplicated point is one row, and a duplicated refusal one skip
+            (["--template", str(tmpl)], "1/2,3/2,1/2,3/2", "3/2"),
+            # a size-cap refusal skips its point, as a precondition refusal does
+            (["--extremal-n", "40", "--equal", "1"], "1/2,1/1" + "0" * 200,
+             "1/1" + "0" * 37 + "...(203 chars)"),
+        ]:
+            code = main(["sweep", *source, "--points", points, "--out", str(out)])
+            assert code == EXIT_PRECONDITION
+            captured = capsys.readouterr()
+            assert captured.err.count("warning: skipping") == 1
+            assert f"warning: skipping {skipped}: " in captured.err
+            assert "(1 rows, 1 skipped)" in captured.out
+            assert len(out.read_text().splitlines()) == 2  # header + one row
+
+    @pytest.mark.parametrize("source", [["--template", "{tmpl}"],
+                                        ["--extremal-n", "3", "--equal", "1"]],
+                             ids=["template", "extremal"])
+    def test_each_row_is_made_before_the_next_point_is_built(self, tmp_path, monkeypatch,
+                                                             source):
+        """One pass: a point's assembly is gone once its row is made."""
+        tmpl = tmp_path / "tmpl.txt"
+        tmpl.write_text("n: 2\nmember: 0:$p 1:$q\nmember: 0:1/2 1:1/2\n")
+        events, built = [], []
+        row_for = cli._row_for
+
+        def spy(label, fn):
+            def wrapped(*args):
+                events.append(label)
+                return fn(*args)
+            return wrapped
+
+        def checked_row_for(param, a):
+            assert all(ref() is None for ref in built)  # no earlier point is alive
+            built.append(weakref.ref(a))
+            return row_for(param, a)
+
+        monkeypatch.setattr(cli, "_row_for", spy("row", checked_row_for))
+        monkeypatch.setattr(cli, "parse_assembly_text", spy("build", cli.parse_assembly_text))
+        monkeypatch.setattr(extremal, "realize", spy("build", extremal.realize))
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", *(a.format(tmpl=tmpl) for a in source),
+                     "--points", "1/10,1/4,1/3,1/2", "--out", str(out)]) == EXIT_OK
+        assert events == ["build", "row"] * 4
+        assert [ref() for ref in built] == [None] * 4
 
     def test_extremal_delta_sweep_gap_decreases(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -579,8 +646,7 @@ class TestBadArguments:
     def test_comma_lists_are_read_exactly(self, tmp_path):
         out = tmp_path / "ext.txt"
         code, _ = _run_quietly(["extremal", "--n", "3", "--m-list", "1, 1,1.0",
-                                "--epsilon", "1", "--p-schedule", "1/2,0.75",
-                                "--out", str(out)])
+                                "--p-schedule", "1/2,0.75", "--out", str(out)])
         assert code == EXIT_OK
         a = parse_assembly_text(out.read_text()).assembly
         assert a.similar_means() == (F(1),) * 3
