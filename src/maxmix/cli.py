@@ -37,7 +37,6 @@ from .dist import (
     FiniteDistribution,
     _fields_repr,
     _leading,
-    _ratio,
     _ratios,
     _shown,
     as_rational,
@@ -274,19 +273,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if (args.equal is None) == (args.m_list is None):
-        raise _UsageError("give exactly one of --equal or --m-list")
-    if (args.epsilon is None) == (args.p_schedule is None):
-        raise _UsageError("give exactly one of --epsilon or --p-schedule")
     check_cap(args.n, "--n")
-    if args.equal is not None:
-        m_list = (args.equal,) * args.n
-    else:
-        m_list = args.m_list
-        if len(m_list) != args.n:
-            raise PreconditionError(
-                f"--m-list has {len(m_list)} entries but --n is {args.n}"
-            )
+    m_list = (args.equal,) * args.n if args.m_list is None else args.m_list
+    if len(m_list) != args.n:
+        raise PreconditionError(f"--m-list has {len(m_list)} entries but --n is {args.n}")
     if args.p_schedule is not None:
         a = extremal.realize(m_list, args.p_schedule)
     else:
@@ -354,10 +344,10 @@ class SweepRow(NamedTuple):
 
 
 def _sweep_points(args) -> list[Fraction]:
+    if (args.start, args.stop, args.steps).count(None) != (0 if args.points is None else 3):
+        raise _UsageError("give either --points or all of --from/--to/--steps")
     if args.points is not None:
         return list(args.points)
-    if args.start is None or args.stop is None or args.steps is None:
-        raise _UsageError("give --points or all of --from/--to/--steps")
     check_cap(args.steps, "--steps")
     if args.steps == 1:
         return [args.start]
@@ -380,11 +370,11 @@ def _row_for(param: Fraction, a: Assembly) -> SweepRow:
 def cmd_sweep(args) -> int:
     import csv  # only sweep writes CSV; other commands skip its import
 
-    if (args.template is None) == (args.extremal_n is None):
-        raise _UsageError("give exactly one of --template or --extremal-n")
     points = _sweep_points(args)
 
     if args.template is not None:
+        if args.equal is not None:
+            raise _UsageError("template sweeps take no --equal")
         text = _read_text(args.template)
         if "$p" not in text and "$q" not in text:
             raise PreconditionError(
@@ -477,7 +467,7 @@ def _int_arg(least: int | None = None):
     """
     def read(tok: str) -> int:
         try:
-            num, den = _ratio(tok)
+            (num,), (den,) = _ratios((tok,))
         except ValueError:
             den = 0
         if not den or num % den:
@@ -507,13 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="build a near-extremal two-point assembly")
     p.add_argument("--n", type=_int_arg(1), required=True)
-    p.add_argument("--equal", type=_positive_rational, default=None,
-                   help="one shared target similar mean")
-    p.add_argument("--m-list", type=_rational_list, default=None,
-                   help="comma-separated ascending target similar means")
-    p.add_argument("--epsilon", type=_positive_rational, default=None)
-    p.add_argument("--p-schedule", type=_rational_list, default=None,
-                   help="explicit comma-separated zero masses in (0,1)")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--equal", type=_positive_rational, default=None,
+                        help="one shared target similar mean")
+    target.add_argument("--m-list", type=_rational_list, default=None,
+                        help="comma-separated ascending target similar means")
+    closeness = p.add_mutually_exclusive_group(required=True)
+    closeness.add_argument("--epsilon", type=_positive_rational, default=None)
+    closeness.add_argument("--p-schedule", type=_rational_list, default=None,
+                           help="explicit comma-separated zero masses in (0,1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_extremal)
 
@@ -532,10 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("sweep", help="emit a CSV of the bound chain along a parameter")
-    p.add_argument("--template", default=None,
-                   help="assembly file with $p (and optionally $q = 1 - $p) tokens")
-    p.add_argument("--extremal-n", type=_int_arg(1), default=None,
-                   help="sweep the tightening delta of the equal-target extremal family")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--template", default=None,
+                      help="assembly file with $p (and optionally $q = 1 - $p) tokens")
+    mode.add_argument("--extremal-n", type=_int_arg(1), default=None,
+                      help="sweep the tightening delta of the equal-target extremal family")
     p.add_argument("--equal", type=_positive_rational, default=None)
     p.add_argument("--points", type=_rational_list, default=None,
                    help="comma-separated parameter values")
@@ -553,7 +546,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, AssemblyParseError, OSError) as exc:
+    except _UsageError as exc:
+        message = str(exc)  # argparse quotes command-line tokens whole
+        for tok in sorted(sys.argv[1:] if argv is None else argv, key=len, reverse=True):
+            message = message.replace(tok, clip(tok))
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    except (AssemblyParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, ResourceCapExceeded) as exc:

@@ -64,14 +64,15 @@ def as_rational(x) -> Fraction:
     """Exact conversion to Fraction.
 
     Accepts Fraction, int and strings like "3/7", "0.125" or "1e-3", which
-    are read by the assembly file's token rules (`_ratio`).  Floats are
+    are read by the assembly file's token rules (`_ratios`).  Floats are
     rejected: a float argument almost always means the caller has already
     lost exactness, and this library cannot restore it.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(*_ratio(x))
+        (num,), (den,) = _ratios((x,))
+        return Fraction(num, den)
     if isinstance(x, bool):
         raise TypeError("booleans are not rational values")
     if isinstance(x, float):
@@ -190,11 +191,11 @@ def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
     """Rational tokens as two integer columns: numerators, and positive denominators.
 
     The one reader of rational text: the parser reads a member line by it,
-    and `_ratio` is its one-token case.  "a" and "a/b" in ASCII digits convert
-    straight to integers of any length in this loop; every other form goes
-    through `Fraction` once its exponent, if any, is known to be at most
-    `_MAX_EXPONENT` (10**5) in magnitude.  A refusal is a `ValueError`
-    quoting at most `clip(tok)`.
+    and `as_rational` and the CLI's integer options each read one token.
+    "a" and "a/b" in ASCII digits convert straight to integers of any length
+    in this loop; every other form goes through `Fraction` once its exponent,
+    if any, is known to be at most `_MAX_EXPONENT` (10**5) in magnitude.  A
+    refusal is a `ValueError` quoting at most `clip(tok)`.
     """
     nums, dens = [], []
     known = {"": 1}  # denominators repeat along a line; "" is a token without "/"
@@ -226,12 +227,6 @@ def _ratios(toks: Iterable[str]) -> tuple[list[int], list[int]]:
         nums.append(x.numerator)
         dens.append(x.denominator)
     return nums, dens
-
-
-def _ratio(tok: str) -> tuple[int, int]:
-    """A rational token as ``(numerator, denominator)``, read by `_ratios`."""
-    (num,), (den,) = _ratios((tok,))
-    return num, den
 
 
 def check_cap(count: int, what: str, cap: int | None = None) -> None:

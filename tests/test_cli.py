@@ -119,6 +119,11 @@ class TestVerify:
         assert main(["verify", str(path)]) == EXIT_USAGE
         assert "member 1" in capsys.readouterr().err
 
+    def test_a_file_without_members_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("name: nothing\n")
+        assert _run_quietly(["verify", str(path)]) == (EXIT_USAGE, "error: no members found\n")
+
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/nope.txt"]) == EXIT_USAGE
 
@@ -347,7 +352,14 @@ class TestExtremal:
     def test_takes_exactly_one_of_epsilon_or_schedule(self, closeness):
         code, err = _run_quietly(["extremal", "--n", "3", "--equal", "1", *closeness])
         assert code == EXIT_USAGE
-        assert err == "error: give exactly one of --epsilon or --p-schedule\n"
+        assert err == ("error: argument --p-schedule: not allowed with argument --epsilon\n"
+                       if closeness else
+                       "error: one of the arguments --epsilon --p-schedule is required\n")
+
+    def test_an_epsilon_beyond_the_tightening_rounds_exits_2(self):
+        code, err = _run_quietly(["extremal", "--n", "2", "--equal", "1", "--epsilon", "1e-100"])
+        assert code == EXIT_PRECONDITION
+        assert err.endswith(" not reached within 60 tightening rounds\n") and len(err) <= 200
 
     def test_a_chain_breach_exits_3_and_writes_nothing(self, tmp_path, monkeypatch):
         lower = bounds.mixture_lower
@@ -391,6 +403,14 @@ class TestTransform:
                      "--lo", "0", "--hi", "1"])
         assert code == EXIT_PRECONDITION
         assert "exactly two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["coalesce", "reduce"])
+    def test_one_member_has_no_companion(self, tmp_path, op):
+        path = tmp_path / "one.txt"
+        path.write_text("member: 0:1/2 1:1/2\n")
+        code, err = _run_quietly(["transform", str(path), "--op", op, "--lo", "0", "--hi", "1"])
+        assert code == EXIT_PRECONDITION
+        assert err == "error: coalesce and reduce need a companion member\n"
 
 
 class TestSweep:
@@ -501,6 +521,47 @@ class TestSweep:
                      "--to", "1", "--steps", "0", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
+    def test_one_step_is_the_start_point(self, tmp_path, capsys):
+        tmpl = tmp_path / "tmpl.txt"
+        tmpl.write_text("n: 1\nmember: 0:$p 1:$q\n")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--template", str(tmpl), "--from", "1/3", "--to", "9",
+                     "--steps", "1", "--out", str(out)]) == EXIT_OK
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1/3"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--template", "{tmpl}", "--points", "1/2", "--from", "0", "--to", "1", "--steps", "5"],
+         "give either --points or all of --from/--to/--steps"),
+        (["--template", "{tmpl}", "--points", "1/2", "--to", "1"],
+         "give either --points or all of --from/--to/--steps"),
+        (["--template", "{tmpl}", "--points", "1/2", "--steps", "5"],
+         "give either --points or all of --from/--to/--steps"),
+        (["--template", "{tmpl}", "--from", "0", "--to", "1"],
+         "give either --points or all of --from/--to/--steps"),
+        (["--template", "{tmpl}", "--equal", "1", "--points", "1/2"],
+         "template sweeps take no --equal"),
+        (["--extremal-n", "2", "--points", "1/2"], "extremal sweeps need --equal"),
+    ], ids=["points-and-range", "points-and-to", "points-and-steps", "no-steps",
+            "template-equal", "extremal-no-equal"])
+    def test_a_mode_refuses_options_it_would_ignore(self, tmp_path, argv, message):
+        tmpl = tmp_path / "tmpl.txt"
+        tmpl.write_text("n: 1\nmember: 0:$p 1:$q\n")
+        out = tmp_path / "rows.csv"
+        code, err = _run_quietly(["sweep", *(a.format(tmpl=tmpl) for a in argv),
+                                  "--out", str(out)])
+        assert (code, err) == (EXIT_USAGE, f"error: {message}\n")
+        assert not out.exists()
+
+    def test_a_chain_breach_exits_3_and_writes_nothing(self, tmp_path, monkeypatch):
+        lower = bounds.mixture_lower
+        monkeypatch.setattr(bounds, "mixture_lower", lambda a: lower(a) + 10**6)
+        out = tmp_path / "rows.csv"
+        code, err = _run_quietly(["sweep", "--extremal-n", "2", "--equal", "1",
+                                  "--points", "1/10,1/2", "--out", str(out)])
+        assert code == EXIT_INVARIANT
+        assert "sweep row violates the chain at 1/10" in err
+        assert not out.exists()
+
     def test_template_without_parameter_is_rejected(self, tmp_path, capsys):
         tmpl = tmp_path / "tmpl.txt"
         tmpl.write_text("n: 1\nmember: 0:1/2 1:1/2\n")
@@ -560,7 +621,7 @@ class TestLongOptionValues:
          lambda args: args.hi),
         (["extremal", "--n", "2", "--m-list", f"1,{LONG_INT}", "--epsilon", "1"],
          lambda args: args.m_list[1]),
-        (["sweep", "--points", f"{LONG_INT},1/2", "--out", "o.csv"],
+        (["sweep", "--template", "t.txt", "--points", f"{LONG_INT},1/2", "--out", "o.csv"],
          lambda args: args.points[0]),
     ], ids=["bound", "lo", "hi", "m-list", "points"])
     def test_option_reads_like_a_file(self, argv, read):
@@ -642,6 +703,19 @@ class TestBadArguments:
         code, err = _run_quietly(argv)
         assert code == EXIT_USAGE
         assert err.startswith(f"error: argument {option}: not an exact rational")
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["extremal", "--n", "2", "--epsilon", "1"], ["--equal", "1"], ["--m-list", "1,1"]),
+        (["sweep", "--points", "1/2", "--out", "{dir}/o.csv"], ["--template", "{dir}/t.txt"],
+         ["--extremal-n", "2"]),
+    ], ids=["target", "mode"])
+    def test_a_one_of_pair_takes_exactly_one(self, tmp_path, argv, first, second):
+        (tmp_path / "t.txt").write_text("n: 1\nmember: 0:$p 1:$q\n")
+        argv, first, second = ([a.format(dir=tmp_path) for a in x] for x in (argv, first, second))
+        assert _run_quietly(argv) == (
+            EXIT_USAGE, f"error: one of the arguments {first[0]} {second[0]} is required\n")
+        assert _run_quietly(argv + first + second) == (
+            EXIT_USAGE, f"error: argument {second[0]}: not allowed with argument {first[0]}\n")
 
     def test_comma_lists_are_read_exactly(self, tmp_path):
         out = tmp_path / "ext.txt"
@@ -782,6 +856,18 @@ class TestValuesInRefusals:
         code, err = _run_quietly(argv)
         assert code in (EXIT_USAGE, EXIT_PRECONDITION)
         assert value[:41] not in err and len(err) <= 200
+
+    @pytest.mark.parametrize("argv, echoed", [
+        (["verify", "{file}", "--frobnicate", LONG_INT], LONG_INT),
+        (["verify", "{file}", f"--s={LONG_INT}"], f"--s={LONG_INT}"),
+        (["transform", "{file}", "--op", "x" * 5000, "--lo", "0", "--hi", "1"], "x" * 5000),
+        (["y" * 5000], "y" * 5000),
+    ], ids=["unknown-option", "ambiguous-option", "invalid-choice", "invalid-command"])
+    def test_tokens_the_parser_echoes_are_clipped(self, example_file, argv, echoed):
+        code, err = _run_quietly([a.format(file=example_file) for a in argv])
+        assert code == EXIT_USAGE
+        assert clip(echoed) in err
+        assert all(len(line) <= 200 for line in err.splitlines())
 
     @pytest.mark.parametrize("bits", [12_899, 12_901, 20_000, 60_000])
     def test_long_values_are_shown_as_clip_of_their_exact_text(self, bits):
