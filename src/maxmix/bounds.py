@@ -177,6 +177,7 @@ class ChainChecks(NamedTuple):
     root-based checks are present only when a common support bound was
     supplied; each allows the stated tolerance and is decided from the
     enclosure endpoint that could break it, never from the midpoint.
+    `all_ok` fails only on a ``False`` field; an absent check passes.
     """
 
     mean_le_mixture: bool
@@ -187,15 +188,13 @@ class ChainChecks(NamedTuple):
 
     __repr__ = _fields_repr
 
+    #: what ``maxmix verify`` prints for each field, in field order
+    labels = ("M_bar <= mixture_E", "mixture_E <= exact_E", "exact_E <= upper",
+              "holder <= exact_E + tol", "M_bar <= holder + tol")
+
     @property
     def all_ok(self) -> bool:
-        return (
-            self.mean_le_mixture
-            and self.mixture_le_exact
-            and self.exact_le_upper
-            and self.holder_le_exact is not False
-            and self.mean_le_holder is not False
-        )
+        return False not in self
 
 
 class BoundReport(NamedTuple):

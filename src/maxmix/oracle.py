@@ -145,48 +145,38 @@ def _atom_index(thresholds: np.ndarray, buckets: tuple[int, np.ndarray],
     return idx
 
 
-def check_mc_request(a: Assembly, samples: int, seed: int) -> int:
-    """Refuse a Monte Carlo request that `mc_expected_max` would refuse; return the seed.
-
-    An integer ``samples >= 2``, an ``int`` seed in [0, 2**64) (any other is
-    refused, not converted onto another seed's stream), and at most
-    `DEFAULT_OUTCOME_CAP` draws (samples times members).
-    """
-    _check_count(samples, "samples", 2)
-    if _check_count(seed, "seed", 0) > _MASK:
-        raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
-    check_cap(samples * a.n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
-    return seed
-
-
 def mc_expected_max(a: Assembly, samples: int, seed: int) -> McEstimate:
     """Seeded Monte Carlo estimate of E[X_max] with its standard error.
 
     Deterministic in (assembly, samples, seed): fixed counter layout, fixed
     chunking, fixed accumulation order.  stderr is the sample standard
     deviation over sqrt(samples).
+
+    Refused before numpy loads: ``samples`` that is not an integer >= 2, a
+    seed that is not an ``int`` in [0, 2**64) (never converted onto another
+    seed's stream), more than `DEFAULT_OUTCOME_CAP` draws (samples times
+    members), and ``samples * (largest value)**2`` beyond float range.
     """
-    seed = check_mc_request(a, samples, seed)
+    _check_count(samples, "samples", 2)
+    if _check_count(seed, "seed", 0) > _MASK:
+        raise PreconditionError(f"seed must lie in [0, 2**64), got {_shown(seed)}")
     n = a.n
+    check_cap(samples * n, "Monte Carlo draw count (samples x members)", DEFAULT_OUTCOME_CAP)
+    # the sum of squares is at most samples * max**2; past float range the
+    # variance, and with it stderr, would come out as inf or nan.  Values are
+    # non-negative, so every one of them then fits in a float as well.
+    if samples * a.support_max**2 > sys.float_info.max:
+        raise PreconditionError(
+            f"Monte Carlo needs samples * (largest value)**2 within float range; "
+            f"{samples} samples of values up to {_shown(a.support_max)} exceed it"
+        )
 
     import numpy as np
 
     forms = [d.form for d in a.members]
     thresholds = [_thresholds(f) for f in forms]
-    try:  # integer true division rounds correctly, as float(Fraction) does
-        values = [np.array([v / f.scale for v in f.values]) for f in forms]
-    except OverflowError:
-        raise PreconditionError(
-            "Monte Carlo needs every support value within float range"
-        ) from None
-    # the sum of squares is at most samples * max**2; past float range the
-    # variance, and with it stderr, would come out as inf or nan
-    if samples * a.support_max**2 > sys.float_info.max:
-        raise PreconditionError(
-            f"Monte Carlo needs samples * (largest value)**2 within float range; "
-            f"{samples} samples of values up to {float(a.support_max):.3g} exceed it"
-        )
-
+    # integer true division rounds correctly, as float(Fraction) does
+    values = [np.array([v / f.scale for v in f.values]) for f in forms]
     buckets = [_bucket_table(t) for t in thresholds]
     total = 0.0
     total_sq = 0.0

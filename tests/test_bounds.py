@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from maxmix import (
     Assembly,
+    ChainChecks,
     FiniteDistribution,
     InvariantViolation,
     PreconditionError,
@@ -167,6 +168,20 @@ class TestCertifiedHolderChecks:
         lines = capsys.readouterr().out.splitlines()
         assert f"  {label:<24} FAILED" in lines
         assert "verdict: FAIL (implementation defect)" in lines
+
+
+class TestChainChecks:
+    def test_one_label_per_field(self):
+        assert len(ChainChecks.labels) == len(ChainChecks._fields)
+        assert len(set(ChainChecks.labels)) == len(ChainChecks.labels)
+
+    @pytest.mark.parametrize("field", ChainChecks._fields)
+    def test_all_ok_fails_exactly_on_a_false_field(self, field):
+        passing = ChainChecks(True, True, True)  # no holder bound: both None
+        assert passing.holder_le_exact is None and passing.all_ok
+        assert ChainChecks(*[True] * 5).all_ok
+        assert not passing._replace(**{field: False}).all_ok
+        assert not ChainChecks(*[True] * 5)._replace(**{field: False}).all_ok
 
 
 class TestGamGap:

@@ -283,13 +283,15 @@ class TestLongAndHugeValues:
         assert main(["verify", str(path)]) == EXIT_OK
         assert "exact_E = " in capsys.readouterr().out
         assert main(["verify", str(path), "--samples", "100"]) == EXIT_PRECONDITION
-        assert "float range" in capsys.readouterr().err
+        out, err = capsys.readouterr()  # refused before the report is printed
+        assert out == "" and "float range" in err and len(err) <= 200
 
     def test_mc_refuses_squares_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text("member: 0:1/2 1e200:1/2\nmember: 0:1/3 1:2/3\n")
         assert main(["verify", str(path), "--samples", "1000"]) == EXIT_PRECONDITION
-        assert "float range" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "float range" in err and len(err) <= 200
         path.write_text("member: 0:1/2 1e150:1/2\nmember: 0:1/3 1:2/3\n")
         assert main(["verify", str(path), "--samples", "1000"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -321,7 +323,8 @@ class TestLongAndHugeValues:
         for seed in ("-1", str(2**64)):
             assert main(["verify", str(example_file), "--samples", "100",
                          "--seed", seed]) == EXIT_PRECONDITION
-            assert "seed" in capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == "" and "seed" in err
 
 
 class TestExtremal:
@@ -411,6 +414,20 @@ class TestTransform:
         code, err = _run_quietly(["transform", str(path), "--op", op, "--lo", "0", "--hi", "1"])
         assert code == EXIT_PRECONDITION
         assert err == "error: coalesce and reduce need a companion member\n"
+
+    # transform writes the input's bound line unchanged, and a transform can
+    # move mass above it, so the file it writes can be refused on reading
+    @pytest.mark.xfail(strict=True, reason="a written value can exceed the file's bound")
+    @pytest.mark.parametrize("text, argv", [
+        ("bound: 1\nmember: 1/2:1/2 9/10:1/2\nmember: 0:1/10 3/4:9/10\n",
+         ["--op", "reduce", "--member", "0", "--lo", "0", "--hi", "1"]),
+        (EXAMPLE, ["--op", "down", "--lo", "0", "--hi", "5"]),
+    ], ids=["reduce", "down"])
+    def test_a_written_file_reads_back(self, tmp_path, text, argv):
+        path, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        path.write_text(text)
+        assert _run_quietly(["transform", str(path), *argv, "--out", str(out)])[0] == EXIT_OK
+        assert _run_quietly(["verify", str(out)]) == (EXIT_OK, "")
 
 
 class TestSweep:
@@ -717,6 +734,39 @@ class TestBadArguments:
         assert _run_quietly(argv + first + second) == (
             EXIT_USAGE, f"error: argument {second[0]}: not allowed with argument {first[0]}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "{file}", "--seed", "5"], "--seed applies only with --samples"),
+        (["transform", "{file}", "--op", "down", "--member", "7", "--lo", "0", "--hi", "1"],
+         "--member applies only to --op coalesce and reduce"),
+        (["transform", "{file}", "--op", "coalesce", "--tol", "1/3", "--lo", "0", "--hi", "1"],
+         "--tol applies only to --op down"),
+        (["transform", "{file}", "--op", "reduce", "--tol", "1/3", "--lo", "0", "--hi", "1"],
+         "--tol applies only to --op down"),
+    ], ids=["verify-seed", "down-member", "coalesce-tol", "reduce-tol"])
+    def test_a_mode_refuses_options_it_would_ignore(self, example_file, argv, message):
+        argv = [a.format(file=example_file) for a in argv]
+        assert _run_quietly(argv) == (EXIT_USAGE, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, default", [
+        (["verify", "{file}", "--samples", "100"], ["--seed", "0"]),
+        (["transform", "{file}", "--op", "coalesce", "--lo", "1/2", "--hi", "1"],
+         ["--member", "0"]),
+        (["transform", "{file}", "--op", "down", "--lo", "0", "--hi", "1"],
+         ["--tol", "1/1000000000000"]),
+    ], ids=["seed", "member", "tol"])
+    def test_an_option_left_out_keeps_its_default(self, example_file, capsys, argv, default):
+        argv = [a.format(file=example_file) for a in argv]
+        assert main(argv) == EXIT_OK
+        left_out = capsys.readouterr().out
+        assert main(argv + default) == EXIT_OK
+        assert capsys.readouterr().out == left_out
+
+    def test_a_path_too_long_for_the_system_is_quoted_clipped(self, tmp_path):
+        code, err = _run_quietly(["verify", str(tmp_path / ("a" * 5000))])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and " chars)" in err
+        assert all(len(line) <= 200 for line in err.splitlines()), err[:400]
+
     def test_comma_lists_are_read_exactly(self, tmp_path):
         out = tmp_path / "ext.txt"
         code, _ = _run_quietly(["extremal", "--n", "3", "--m-list", "1, 1,1.0",
@@ -908,6 +958,16 @@ def test_sample_count_beyond_the_cap_exits_before_numpy_loads(example_file):
     # refused before the chain is computed, so nothing else reaches standard output
     assert proc.stdout.splitlines() == [f"{EXIT_PRECONDITION} False"]
     assert proc.stderr.startswith("error: Monte Carlo draw count") and len(proc.stderr) <= 200
+
+
+def test_values_beyond_float_range_exit_before_numpy_loads(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = tmp_path / "huge.txt"
+    path.write_text("member: 0:1/2 1e400:1/2\nmember: 0:1/3 1:2/3\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", CHILD, str(src), "verify", str(path),
+                           "--samples", "2"], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == [f"{EXIT_PRECONDITION} False"]
+    assert proc.stderr.startswith("error: Monte Carlo needs") and len(proc.stderr) <= 200
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ class TestMonteCarlo:
         with pytest.raises(PreconditionError):
             mc_expected_max(Assembly((d, d)), 1, seed=0)
 
+    def test_values_beyond_float_range_are_refused_with_a_short_message(self):
+        a = Assembly((dist((0, F(1, 2)), (10**400, F(1, 2))), dist((1, F(1)),)))
+        with pytest.raises(PreconditionError, match="float range") as info:
+            mc_expected_max(a, 2, seed=0)
+        assert len(str(info.value)) <= 200
+
     def test_seed_must_fit_in_64_bits(self):
         d = dist((0, F(1, 2)), (1, F(1, 2)))
         a = Assembly((d, d))

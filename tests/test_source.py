@@ -17,6 +17,10 @@ same module, defines ``__new__`` or ``_make``: a record holds what its
 producer computed, and a check or conversion of its inputs belongs to the
 function that takes them.
 
+No refusal formats a value with ``float(...)``: a value beyond float range
+would turn the ``raise`` into an ``OverflowError`` traceback; `dist._shown`
+quotes any value.
+
 A ``bool`` is an ``int`` to Python, and refusing one is written twice only:
 ``isinstance(..., bool)`` appears in ``as_rational``, for values, and in
 ``_check_count``, for counts, orders and seeds; every other integer argument
@@ -105,6 +109,15 @@ def test_named_tuple_records_do_not_check_on_construction(path):
     found = [f"{node.name}.{name}" for node in _named_tuple_classes(tree)
              for name in ("__new__", "_make") if _defines(node, name)]
     assert not found, f"{path.name}: NamedTuple classes that override construction: {found}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_calls_in_raise_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [call.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "float"]
+    assert not lines, f"{path.name} calls float() in raise statements at lines {lines}"
 
 
 #: the functions that may test for a ``bool``
